@@ -35,15 +35,20 @@ bench:
 bench-json:
 	{ for i in 1 2 3; do $(GO) test -run xxx -bench . -benchmem -benchtime 3x -json ./...; done; } > BENCH_$$(date +%Y-%m-%d).json
 
-# Compare the two newest BENCH_*.json captures: fails when a tracked
-# benchmark (the Figure-5 macro benchmarks and the batch planner) regressed
-# > 10% in ns/op or allocs/op.
+# Compare two `make bench-json` captures, named as file paths: fails when a
+# tracked benchmark (the Figure-5 macro benchmarks and the batch planner)
+# regressed > 10% in ns/op or allocs/op. The default pair is the committed
+# same-host baseline and capture; override with
+# `make bench-diff OLD=BENCH_a.json NEW=BENCH_b.json`. BENCH_PARALLEL_*.json
+# files are rmsim scaling JSON, not `go test -json`, and are refused.
+OLD ?= BENCH_2026-08-08-svc-base.json
+NEW ?= BENCH_2026-08-08-svc.json
 bench-diff:
-	@files="$$(ls -t BENCH_*.json 2>/dev/null | head -2)"; \
-	set -- $$files; \
-	if [ $$# -lt 2 ]; then echo "bench-diff: need two BENCH_*.json captures (run 'make bench-json')"; exit 1; fi; \
-	echo "comparing $$2 (old) -> $$1 (new)"; \
-	$(GO) run ./cmd/benchdiff "$$2" "$$1"
+	@case "$(OLD) $(NEW)" in *BENCH_PARALLEL_*) \
+		echo "bench-diff: BENCH_PARALLEL_* files are scaling captures, not benchmark results"; exit 2;; \
+	esac
+	@echo "comparing $(OLD) (old) -> $(NEW) (new)"
+	@$(GO) run ./cmd/benchdiff "$(OLD)" "$(NEW)"
 
 # Cheap CI perf gate: one iteration of the n=50 macro benchmarks plus the
 # allocation-budget tests, so a perf-hostile change fails fast without

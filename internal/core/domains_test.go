@@ -25,7 +25,7 @@ func TestDomainAggregatorsMatchElectorate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, target := range []int{4, 16, 64} {
-			part := mtree.PartitionDomains(tree, target)
+			part := mtree.PartitionTree(tree, (len(tree.Clients)+target-1)/target)
 			agg := DomainAggregators(tree, part)
 			if len(agg) != part.K {
 				t.Fatalf("n=%d target=%d: %d aggregators for %d domains", n, target, len(agg), part.K)
@@ -72,8 +72,9 @@ func TestDomainAggregatorsLiteTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := mtree.PartitionDomains(full, 16)
-	pl := mtree.PartitionDomains(lite, 16)
+	k := (len(full.Clients) + 15) / 16
+	pf := mtree.PartitionTree(full, k)
+	pl := mtree.PartitionTree(lite, k)
 	af, al := DomainAggregators(full, pf), DomainAggregators(lite, pl)
 	if len(af) != len(al) {
 		t.Fatalf("domain counts diverge: %d vs %d", len(af), len(al))

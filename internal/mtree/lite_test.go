@@ -70,21 +70,18 @@ func TestLiteMatchesFull(t *testing.T) {
 	}
 }
 
-// TestPartitionDomains checks the domain-sizing wrapper: the domain count is
-// ⌈clients/target⌉ (clamped by PartitionTree), every client lands in exactly
-// one domain, and — the worker-invariance anchor — the layout is a pure
-// function of (tree, target), so repeated calls agree element for element.
+// TestPartitionDomains checks PartitionTree at recovery-domain sizes: with
+// K = ⌈clients/target⌉ (clamped by PartitionTree) every client lands in
+// exactly one domain, and — the worker-invariance anchor — the layout is a
+// pure function of (tree, K), so repeated calls agree element for element.
 func TestPartitionDomains(t *testing.T) {
 	tr := partitionFixture(t, 300, 77)
 	total := len(tr.Clients)
 	for _, target := range []int{1, 7, 32, 64, 150, 299, 300, 1000} {
-		p := PartitionDomains(tr, target)
-		wantK := (total + target - 1) / target
-		if wantK > total {
-			wantK = total
-		}
-		if p.K != wantK {
-			t.Fatalf("target=%d: K=%d, want %d", target, p.K, wantK)
+		k := (total + target - 1) / target
+		p := PartitionTree(tr, k)
+		if p.K != k {
+			t.Fatalf("target=%d: K=%d, want %d", target, p.K, k)
 		}
 		counts := make([]int, p.K)
 		for _, c := range tr.Clients {
@@ -104,7 +101,7 @@ func TestPartitionDomains(t *testing.T) {
 		if sum != total {
 			t.Fatalf("target=%d: clients counted %d, want %d", target, sum, total)
 		}
-		q := PartitionDomains(tr, target)
+		q := PartitionTree(tr, k)
 		if q.K != p.K || q.Lookahead != p.Lookahead {
 			t.Fatalf("target=%d: repeated partition disagrees", target)
 		}
@@ -115,7 +112,7 @@ func TestPartitionDomains(t *testing.T) {
 			}
 		}
 	}
-	if p := PartitionDomains(tr, 0); p.K != total {
-		t.Fatalf("target=0 should clamp to one-client domains: K=%d", p.K)
+	if p := PartitionTree(tr, 2*total); p.K != total {
+		t.Fatalf("K above the group size should clamp to one-client domains: K=%d", p.K)
 	}
 }

@@ -91,20 +91,3 @@ func PartitionTree(t *Tree, k int) *Partition {
 	}
 	return p
 }
-
-// PartitionDomains partitions t into local recovery domains of roughly
-// targetClients group members each: the hierarchical-recovery unit of the
-// million-client tier. A domain is just a shard of PartitionTree — a
-// contiguous preorder band of recovery subtrees with hosts riding their
-// access routers — sized by membership rather than by worker count, so the
-// domain layout is a pure function of (tree, targetClients) and never of
-// how many goroutines execute it. That invariance is what keeps
-// domain-sharded digests bit-identical at any worker count.
-func PartitionDomains(t *Tree, targetClients int) *Partition {
-	total := len(t.Clients)
-	if targetClients < 1 {
-		targetClients = 1
-	}
-	k := (total + targetClients - 1) / targetClients
-	return PartitionTree(t, k)
-}

@@ -26,10 +26,12 @@
 // rng.SplitN stream per shard for future shard-local draws). Everything
 // else is a pure function of event times, which the window protocol
 // preserves; order-dependent accumulators (Welford latency) are replayed in
-// global time order at merge. Configurations outside that envelope —
-// queueing, jitter, lossy recovery, gap/session detection, burst or
-// mutation faults, tracing hooks, engines without CloneForShard — fall back
-// to the serial path, which stays byte-for-byte untouched.
+// global time order when the shards fold back into the root session, which
+// then finishes the run through the same path as a serial run.
+// Configurations outside that envelope — queueing, jitter, lossy recovery,
+// gap/session detection, burst or mutation faults, tracing hooks, engines
+// without CloneForShard — fall back to the serial path, which stays
+// byte-for-byte untouched.
 package protocol
 
 import (
@@ -41,11 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rmcast/internal/check"
 	"rmcast/internal/core"
-	"rmcast/internal/fault"
-	"rmcast/internal/graph"
-	"rmcast/internal/metrics"
 	"rmcast/internal/mtree"
 	"rmcast/internal/rng"
 	"rmcast/internal/sim"
@@ -79,97 +77,75 @@ func shardCount(clients int) int {
 // window overhead dwarfs the work).
 const minParallelClients = 16
 
-// parallelEligible returns the engine's shard-cloning interface when the
-// whole configuration lies inside the parallel runner's exactness envelope,
-// or nil plus a human-readable reason otherwise (see the package comment for
-// the envelope's rationale). The reason is surfaced through
-// Result.SerialReason so callers stop guessing why a -simworkers run stayed
-// serial.
-func (s *Session) parallelEligible() (ShardCloner, string) {
+// planParallel is the one place that decides whether Run shards. Inside the
+// parallel runner's exactness envelope (see the package comment) it returns
+// the partition and one fresh engine clone per shard; otherwise nils plus a
+// human-readable reason, which Result.SerialReason surfaces so callers stop
+// guessing why a -simworkers run stayed serial.
+func (s *Session) planParallel() ([]Engine, *mtree.Partition, string) {
 	if s.cfg.SimWorkers < 2 {
-		return nil, ""
+		return nil, nil, ""
 	}
-	cl, ok := s.engine.(ShardCloner)
+	cloner, ok := s.engine.(ShardCloner)
 	if !ok {
-		return nil, fmt.Sprintf("engine %s cannot be sharded (no CloneForShard)", s.engine.Name())
+		return nil, nil, fmt.Sprintf("engine %s cannot be sharded (no CloneForShard)", s.engine.Name())
 	}
 	if s.cfg.Detection != DetectIdeal {
-		return nil, "non-ideal loss detection (gap/session detection is order-sensitive)"
+		return nil, nil, "non-ideal loss detection (gap/session detection is order-sensitive)"
 	}
 	if s.Trace != nil {
-		return nil, "trace hooks installed (global event order would be lost)"
+		return nil, nil, "trace hooks installed (global event order would be lost)"
 	}
 	// Net-level modes (set from cfg, but tests may also set them directly).
 	if s.Net.Queue != nil {
-		return nil, "queued routers (queueing state is order-sensitive)"
+		return nil, nil, "queued routers (queueing state is order-sensitive)"
 	}
 	if s.Net.Jitter != 0 {
-		return nil, "link jitter draws from an order-sensitive rng stream"
+		return nil, nil, "link jitter draws from an order-sensitive rng stream"
 	}
 	if s.Net.ControlLoss {
-		return nil, "lossy control plane draws from an order-sensitive rng stream"
+		return nil, nil, "lossy control plane draws from an order-sensitive rng stream"
 	}
 	if s.Net.OnSend != nil || s.Net.OnDrop != nil {
-		return nil, "net-level observation hooks installed"
+		return nil, nil, "net-level observation hooks installed"
 	}
-	if len(s.Topo.Clients) < minParallelClients {
-		return nil, fmt.Sprintf("group too small to shard (%d clients < %d)",
-			len(s.Topo.Clients), minParallelClients)
+	clients := len(s.Topo.Clients)
+	if clients < minParallelClients {
+		return nil, nil, fmt.Sprintf("group too small to shard (%d clients < %d)",
+			clients, minParallelClients)
 	}
 	if f := s.cfg.Fault; !f.Empty() {
 		// Crash/outage windows are pure time lookups and shard cleanly;
 		// burst chains and the message mutator draw from streams whose
 		// order a partitioned run cannot reproduce.
 		if len(f.Burst) > 0 {
-			return nil, "burst-loss faults draw from order-sensitive rng chains"
+			return nil, nil, "burst-loss faults draw from order-sensitive rng chains"
 		}
 		if !f.Mutation.Empty() {
-			return nil, "message-plane mutation draws from an order-sensitive rng stream"
+			return nil, nil, "message-plane mutation draws from an order-sensitive rng stream"
 		}
 	}
-	return cl, ""
-}
-
-// shardRun is one shard's execution state.
-type shardRun struct {
-	eng       *sim.Engine
-	net       *sim.Net
-	sub       *Session
-	engine    Engine
-	owned     []int // client indices this shard owns, ascending
-	processed uint64
-	ingest    []sim.RemoteDelivery // scratch for the ingest phase
-}
-
-// planParallel resolves the eligibility check into a concrete partition,
-// returning nils plus a reason when the run must stay serial (ineligible
-// configuration, degenerate partition, or no usable lookahead).
-func (s *Session) planParallel() (ShardCloner, *mtree.Partition, string) {
-	cloner, reason := s.parallelEligible()
-	if cloner == nil {
-		return nil, nil, reason
+	k, mode := shardCount(clients), ""
+	if d := s.cfg.DomainClients; d > 0 {
+		// Hierarchical-domain mode: ⌈clients/DomainClients⌉ domains, like
+		// shardCount a pure function of the group and never of the workers.
+		k, mode = (clients+d-1)/d, "domain mode: "
 	}
-	if s.cfg.DomainClients > 0 {
-		// Hierarchical-domain mode: the domain count is ⌈clients/DomainClients⌉
-		// — a pure function of the tree and the domain size, never of the
-		// worker count, so domain runs keep the worker-invariance property of
-		// the classic partition.
-		part := mtree.PartitionDomains(s.Tree, s.cfg.DomainClients)
-		if part.K < 2 {
-			return nil, nil, fmt.Sprintf(
-				"domain mode: group fits a single domain (%d clients ≤ %d per domain)",
-				len(s.Topo.Clients), s.cfg.DomainClients)
-		}
-		if part.Lookahead <= 0 || math.IsInf(part.Lookahead, 1) {
-			return nil, nil, "domain mode: degenerate domain partition (no usable lookahead)"
-		}
-		return cloner, part, ""
-	}
-	part := mtree.PartitionTree(s.Tree, shardCount(len(s.Topo.Clients)))
+	part := mtree.PartitionTree(s.Tree, k)
 	if part.K < 2 || part.Lookahead <= 0 || math.IsInf(part.Lookahead, 1) {
-		return nil, nil, "degenerate tree partition (no usable lookahead)"
+		return nil, nil, fmt.Sprintf(
+			"%sdegenerate tree partition (%d shard(s) for %d clients, lookahead %v)",
+			mode, part.K, clients, part.Lookahead)
 	}
-	return cloner, part, ""
+	engines := make([]Engine, part.K)
+	for i := range engines {
+		if engines[i] = cloner.CloneForShard(); engines[i] == nil {
+			return nil, nil, fmt.Sprintf(
+				"engine %s cannot shard under its current options (run-time replanning or failover)",
+				s.engine.Name())
+		}
+	}
+	return engines, part, ""
 }
 
 // ParallelEligible reports whether Run will genuinely execute sharded under
@@ -177,19 +153,25 @@ func (s *Session) planParallel() (ShardCloner, *mtree.Partition, string) {
 // silently fall back to the serial path. The scaling sweep uses it to label
 // its speedup cells honestly.
 func (s *Session) ParallelEligible() bool {
-	cloner, part, _ := s.planParallel()
-	return cloner != nil && part != nil && cloner.CloneForShard() != nil
+	engines, _, _ := s.planParallel()
+	return engines != nil
+}
+
+// shardRun is one shard's execution state: its sub-session (which owns the
+// shard's event engine, network and engine clone) and window bookkeeping.
+type shardRun struct {
+	sub       *Session
+	processed uint64
+	ingest    []sim.RemoteDelivery // scratch for the ingest phase
 }
 
 // runSharded executes the session on the conservative parallel engine,
-// returning nil when the configuration requires the serial path (recording
-// why in s.serialReason for the serial Result to surface).
-func (s *Session) runSharded() *Result {
-	cloner, part, reason := s.planParallel()
-	if cloner == nil {
-		if s.cfg.SimWorkers >= 2 {
-			s.serialReason = reason
-		}
+// returning nil when planParallel keeps the run serial (recording why in
+// s.serialReason for the serial Result to surface).
+func (s *Session) runSharded(maxEvents uint64) *Result {
+	engines, part, reason := s.planParallel()
+	if engines == nil {
+		s.serialReason = reason
 		return nil
 	}
 	k := part.K
@@ -198,62 +180,54 @@ func (s *Session) runSharded() *Result {
 		// stream; the partitioner guarantees shard 0.
 		panic("protocol: source not on shard 0")
 	}
-	engines := make([]Engine, k)
-	for i := range engines {
-		if engines[i] = cloner.CloneForShard(); engines[i] == nil {
-			s.serialReason = fmt.Sprintf(
-				"engine %s cannot shard under its current options (run-time replanning or failover)",
-				s.engine.Name())
-			return nil
-		}
-	}
 
 	// Re-derive the serial run's rng stream layout: netRand (the only
 	// stream that draws in eligible runs — data-plane loss, on the source's
 	// shard), protoRand, the fault state's stream, then one SplitN stream
-	// per shard for the other shards' nets.
+	// per shard for the other shards' nets. The fault state itself is the
+	// root session's: it never ran, and crash windows are pure lookups.
 	root := rng.New(s.seed)
 	netRand := root.Split()
-	protoRand := root.Split()
-	_ = protoRand
-	var faultState *fault.State
+	root.Split() // protoRand
 	if !s.cfg.Fault.Empty() {
-		faultState = fault.NewState(s.cfg.Fault, root.Split())
+		root.Split()
 	}
 	shardRands := root.SplitN(k)
 
-	// Shared read-only state: the host set, the precomputed send schedule,
-	// and (under checking) the oracle's sent vector.
+	// Shared read-only state: the host set, and one tree adjacency (CSR)
+	// for every shard's net — at a million clients a per-net copy would
+	// multiply the largest flooding structure by the domain count.
 	hosts := make([]bool, s.numNodes)
 	for _, c := range s.Topo.Clients {
 		hosts[c] = true
 	}
 	hosts[s.Topo.Source] = true
-	for seq := 0; seq < s.cfg.Packets; seq++ {
-		s.sentAt[seq] = float64(seq) * s.cfg.Interval
-	}
-	var sent []bool
-	var master *check.Oracle
-	if s.cfg.Check != CheckOff {
-		sent = make([]bool, s.cfg.Packets)
-		master = check.NewShard(len(s.Topo.Clients), s.cfg.Packets,
-			s.cfg.Check == CheckStrict, sent)
-	}
-
-	// One tree adjacency (CSR) shared read-only by every shard's net: at a
-	// million clients the per-net copy would multiply the largest flooding
-	// structure by the domain count.
 	adj := sim.NewTreeAdjacency(s.Topo)
 	shards := make([]*shardRun, k)
-	for i := 0; i < k; i++ {
-		shards[i] = s.buildShard(int32(i), part, engines[i], hosts, sent,
-			netRand, shardRands[i], faultState, adj)
+	for id := range shards {
+		r := shardRands[id]
+		if id == 0 {
+			r = netRand
+		}
+		net := sim.NewNetShared(sim.NewEngine(), s.Topo, s.Tree, s.Routes, r, adj)
+		net.EnableShard(int32(id), part.ShardOf, hosts)
+		if s.Net.Fault != nil {
+			net.InstallFaultShared(s.Net.Fault)
+		}
+		sub := newSession(net, engines[id], shardRands[id], s.cfg, s.seed, s)
+		for i, c := range s.Topo.Clients {
+			if part.ShardOf[c] == int32(id) {
+				sub.own(i) // other rows stay nil: an ownership violation faults loudly
+			}
+		}
+		if id == 0 {
+			sub.handle(s.Topo.Source)
+		}
+		engines[id].Attach(sub)
+		sub.scheduleProgram(id == 0)
+		shards[id] = &shardRun{sub: sub}
 	}
 
-	maxEvents := s.cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
-	}
 	workers := s.cfg.SimWorkers
 	if workers > k {
 		workers = k
@@ -268,10 +242,10 @@ func (s *Session) runSharded() *Result {
 		// still-unhanded outbox deliveries from the previous window.
 		t0 := math.Inf(1)
 		for _, sh := range shards {
-			if at, ok := sh.eng.NextEventAt(); ok && at < t0 {
+			if at, ok := sh.sub.Eng.NextEventAt(); ok && at < t0 {
 				t0 = at
 			}
-			for _, rd := range sh.net.Outbox() {
+			for _, rd := range sh.sub.Net.Outbox() {
 				if rd.At < t0 {
 					t0 = rd.At
 				}
@@ -288,7 +262,7 @@ func (s *Session) runSharded() *Result {
 			sh := shards[i]
 			buf := sh.ingest[:0]
 			for _, src := range shards {
-				for _, rd := range src.net.Outbox() {
+				for _, rd := range src.sub.Net.Outbox() {
 					if rd.Dst == int32(i) {
 						buf = append(buf, rd)
 					}
@@ -296,7 +270,7 @@ func (s *Session) runSharded() *Result {
 			}
 			sort.SliceStable(buf, func(a, b int) bool { return buf[a].At < buf[b].At })
 			for _, rd := range buf {
-				sh.net.InjectRemote(rd.At, rd.Node, rd.Pkt)
+				sh.sub.Net.InjectRemote(rd.At, rd.Node, rd.Pkt)
 			}
 			sh.ingest = buf
 		})
@@ -304,8 +278,8 @@ func (s *Session) runSharded() *Result {
 		// its calendar up to the horizon, emitting next window's traffic.
 		pool.each(func(i int) {
 			sh := shards[i]
-			sh.net.ResetOutbox()
-			sh.processed += sh.eng.RunBefore(horizon)
+			sh.sub.Net.ResetOutbox()
+			sh.processed += sh.sub.Eng.RunBefore(horizon)
 		})
 		total = 0
 		for _, sh := range shards {
@@ -316,14 +290,14 @@ func (s *Session) runSharded() *Result {
 	complete := true
 	endTime := 0.0
 	for _, sh := range shards {
-		if sh.eng.Pending() > 0 || len(sh.net.Outbox()) > 0 {
+		if sh.sub.Eng.Pending() > 0 || len(sh.sub.Net.Outbox()) > 0 {
 			complete = false
 		}
-		if t := sh.eng.Now(); t > endTime {
+		if t := sh.sub.Eng.Now(); t > endTime {
 			endTime = t
 		}
 	}
-	res := s.mergeShards(shards, master, faultState, total, endTime, complete)
+	res := s.mergeShards(shards, total, endTime, complete)
 	if s.cfg.DomainClients > 0 {
 		// Execution metadata only — both fields are outside the result digest,
 		// so a domain run hashes identically to its serial twin.
@@ -333,145 +307,49 @@ func (s *Session) runSharded() *Result {
 	return res
 }
 
-// buildShard assembles one shard's engine, network, and sub-session, and
-// schedules the shard's slice of the send/detect program.
-func (s *Session) buildShard(id int32, part *mtree.Partition, engine Engine,
-	hosts, sent []bool, netRand, shardRand *rng.Rand, faultState *fault.State,
-	adj *sim.TreeAdjacency) *shardRun {
-	eng := sim.NewEngine()
-	r := shardRand
-	if id == 0 {
-		r = netRand
-	}
-	net := sim.NewNetShared(eng, s.Topo, s.Tree, s.Routes, r, adj)
-	net.EnableShard(id, part.ShardOf, hosts)
-	clients := len(s.Topo.Clients)
-	sub := &Session{
-		Eng:       eng,
-		Net:       net,
-		Topo:      s.Topo,
-		Tree:      s.Tree,
-		Routes:    s.Routes,
-		Rand:      shardRand,
-		cfg:       s.cfg,
-		engine:    engine,
-		seed:      s.seed,
-		clientIdx: s.clientIdx,
-		received:  make([][]bool, clients),
-		detectAt:  make([][]float64, clients),
-		sentAt:    s.sentAt,
-		nextExp:   make([]int, clients),
-		latHist:   metrics.NewHistogram(0, 5000, 500),
-		perClient: make([]metrics.Summary, clients),
-		numNodes:  s.numNodes,
-		latLogOn:  true,
-	}
-	if sent != nil {
-		sub.oracle = check.NewShard(clients, s.cfg.Packets,
-			s.cfg.Check == CheckStrict, sent)
-	}
-	sh := &shardRun{eng: eng, net: net, sub: sub, engine: engine}
-	for i, c := range s.Topo.Clients {
-		if part.ShardOf[c] != id {
-			continue // rows stay nil: an ownership violation faults loudly
-		}
-		sh.owned = append(sh.owned, i)
-		sub.received[i] = make([]bool, s.cfg.Packets)
-		sub.detectAt[i] = make([]float64, s.cfg.Packets)
-		for j := range sub.detectAt[i] {
-			sub.detectAt[i][j] = math.NaN()
-		}
-		c := c
-		net.SetHandler(c, func(pkt sim.Packet) { sub.onDeliver(c, pkt) })
-	}
-	if id == 0 {
-		src := s.Topo.Source
-		net.SetHandler(src, func(pkt sim.Packet) { sub.onDeliver(src, pkt) })
-	}
-	engine.Attach(sub)
-	if faultState != nil {
-		net.InstallFaultShared(faultState)
-		fa, _ := engine.(FaultAware)
-		net.OnCrash = func(h graph.NodeID) {
-			if fa != nil {
-				fa.OnCrash(h)
-			}
-		}
-		net.OnRecover = func(h graph.NodeID) {
-			if fa != nil {
-				fa.OnRecover(h)
-			}
-		}
-	}
-	// The shard's slice of the serial send/detect program, in the serial
-	// scheduling order (seq-major, then client) so same-instant events keep
-	// their serial relative order within the shard. The detect program alone
-	// is Packets × owned events resident at once; reserving up front avoids
-	// the growth overshoot (up to 2× the steady calendar) per domain.
-	eng.Reserve(s.cfg.Packets * (len(sh.owned) + 2))
-	for seq := 0; seq < s.cfg.Packets; seq++ {
-		at := s.sentAt[seq]
-		if id == 0 {
-			eng.ScheduleCall(at, sub, opSendData, seq, 0)
-		}
-		for _, i := range sh.owned {
-			c := s.Topo.Clients[i]
-			when := at + net.WouldArrive(c) + s.cfg.DetectLag + detectEps
-			eng.ScheduleCall(when, sub, opDetect, i, seq)
-		}
-	}
-	return sh
-}
-
-// mergeShards folds the per-shard outcomes into one Result, exactly equal to
-// what the serial engine would report: integer counters and histogram
-// buckets sum; the order-dependent Welford latency summary is replayed from
-// the stamped logs in global time order; classification and the oracle's
-// finish run once, centrally, over the assembled global state.
-func (s *Session) mergeShards(shards []*shardRun, master *check.Oracle,
-	faultState *fault.State, total uint64, endTime float64, complete bool) *Result {
-	var st Stats
-	var hops, drops sim.HopCount
-	type stamped struct {
-		latSample
-		shard int
-	}
-	var lats []stamped
-	received := make([][]bool, len(s.Topo.Clients))
-	detectAt := make([][]float64, len(s.Topo.Clients))
-	perClient := make([]metrics.Summary, len(s.Topo.Clients))
-	latHist := metrics.NewHistogram(0, 5000, 500)
+// mergeShards folds the shards into this (root) session, which never ran:
+// integer counters, hops and histogram buckets sum; client rows and oracle
+// shadow rows move over from their owner shard; the order-dependent Welford
+// latency summary is replayed from the stamped logs in global time order.
+// finish then closes the run exactly as it closes a serial one.
+func (s *Session) mergeShards(shards []*shardRun, executed uint64, end float64, complete bool) *Result {
+	var lats []latSample
+	st := &s.stats
+	ran := make([]Engine, len(shards))
 	for si, sh := range shards {
-		st.Losses += sh.sub.stats.Losses
-		st.Recoveries += sh.sub.stats.Recoveries
-		st.Duplicates += sh.sub.stats.Duplicates
-		st.PreDetection += sh.sub.stats.PreDetection
-		st.DataDeliveries += sh.sub.stats.DataDeliveries
-		st.LateData += sh.sub.stats.LateData
-		st.Malformed += sh.sub.stats.Malformed
-		st.CodedSymbols += sh.sub.stats.CodedSymbols
-		st.CodedDuplicates += sh.sub.stats.CodedDuplicates
-		st.Failovers += sh.sub.stats.Failovers
-		st.FencedStale += sh.sub.stats.FencedStale
-		hops.Data += sh.net.Hops.Data
-		hops.Request += sh.net.Hops.Request
-		hops.Repair += sh.net.Hops.Repair
-		drops.Data += sh.net.Drops.Data
-		drops.Request += sh.net.Drops.Request
-		drops.Repair += sh.net.Drops.Repair
-		latHist.Merge(sh.sub.latHist)
-		for _, e := range sh.sub.latLog {
-			lats = append(lats, stamped{e, si})
+		sub := sh.sub
+		st.Losses += sub.stats.Losses
+		st.Recoveries += sub.stats.Recoveries
+		st.Duplicates += sub.stats.Duplicates
+		st.PreDetection += sub.stats.PreDetection
+		st.DataDeliveries += sub.stats.DataDeliveries
+		st.LateData += sub.stats.LateData
+		st.Malformed += sub.stats.Malformed
+		st.CodedSymbols += sub.stats.CodedSymbols
+		st.CodedDuplicates += sub.stats.CodedDuplicates
+		st.Failovers += sub.stats.Failovers
+		st.FencedStale += sub.stats.FencedStale
+		s.Net.Hops.Data += sub.Net.Hops.Data
+		s.Net.Hops.Request += sub.Net.Hops.Request
+		s.Net.Hops.Repair += sub.Net.Hops.Repair
+		s.Net.Drops.Data += sub.Net.Drops.Data
+		s.Net.Drops.Request += sub.Net.Drops.Request
+		s.Net.Drops.Repair += sub.Net.Drops.Repair
+		s.latHist.Merge(sub.latHist)
+		lats = append(lats, sub.latLog...)
+		for _, i := range sub.owned {
+			s.received[i] = sub.received[i]
+			s.detectAt[i] = sub.detectAt[i]
+			s.perClient[i] = sub.perClient[i]
 		}
-		for _, i := range sh.owned {
-			received[i] = sh.sub.received[i]
-			detectAt[i] = sh.sub.detectAt[i]
-			perClient[i] = sh.sub.perClient[i]
+		if s.oracle != nil {
+			s.oracle.Absorb(sub.oracle, sub.owned)
 		}
+		ran[si] = sub.engine
 	}
 	// Replay in global event-time order; the stable sort keeps equal
 	// instants in (shard, local) order, deterministically.
-	slices.SortStableFunc(lats, func(a, b stamped) int {
+	slices.SortStableFunc(lats, func(a, b latSample) int {
 		switch {
 		case a.at < b.at:
 			return -1
@@ -483,74 +361,9 @@ func (s *Session) mergeShards(shards []*shardRun, master *check.Oracle,
 	for _, e := range lats {
 		st.Latency.Add(e.lat)
 	}
-
-	down := make([]bool, len(s.Topo.Clients))
-	for i, c := range s.Topo.Clients {
-		down[i] = faultState != nil && !faultState.HostUpAt(c, endTime)
-		for seq, got := range received[i] {
-			switch {
-			case got:
-				st.Delivered++
-			case down[i]:
-				st.UnrecoveredCrashed++
-			case !math.IsNaN(detectAt[i][seq]):
-				st.Unrecovered++
-			}
-		}
-	}
-
-	var violations []string
-	if master != nil {
-		for _, sh := range shards {
-			if da, ok := sh.engine.(DedupAudited); ok {
-				for _, cache := range da.DedupCaches() {
-					master.CheckBound(sh.engine.Name()+" dedup cache", cache.Len(), cache.Cap())
-				}
-			}
-			master.Absorb(sh.sub.oracle, sh.owned)
-		}
-		violations = master.Finish(complete, down, check.Totals{
-			Losses:             st.Losses,
-			Recoveries:         st.Recoveries,
-			Duplicates:         st.Duplicates,
-			PreDetection:       st.PreDetection,
-			DataDeliveries:     st.DataDeliveries,
-			LateData:           st.LateData,
-			Malformed:          st.Malformed,
-			CodedSymbols:       st.CodedSymbols,
-			CodedDuplicates:    st.CodedDuplicates,
-			Failovers:          st.Failovers,
-			FencedStale:        st.FencedStale,
-			Delivered:          st.Delivered,
-			Unrecovered:        st.Unrecovered,
-			UnrecoveredCrashed: st.UnrecoveredCrashed,
-			DataHops:           hops.Data,
-			RequestHops:        hops.Request,
-			RepairHops:         hops.Repair,
-			DataDrops:          drops.Data,
-			RequestDrops:       drops.Request,
-			RepairDrops:        drops.Repair,
-		})
-	}
-	perClientMap := make(map[graph.NodeID]metrics.Summary, len(s.Topo.Clients))
-	for i, c := range s.Topo.Clients {
-		perClientMap[c] = perClient[i]
-	}
-	return &Result{
-		Violations:       violations,
-		PerClientLatency: perClientMap,
-		Protocol:         s.engine.Name(),
-		Clients:          len(s.Topo.Clients),
-		Packets:          s.cfg.Packets,
-		Stats:            st,
-		Hops:             hops,
-		Drops:            drops,
-		Events:           total,
-		SimTime:          endTime,
-		LatencyHist:      latHist,
-		Complete:         complete,
-		Sharded:          true,
-	}
+	res := s.finish(ran, executed, end, complete)
+	res.Sharded = true
+	return res
 }
 
 // shardPool runs one function over every shard index on a fixed set of

@@ -166,15 +166,15 @@ type Config struct {
 	SimWorkers int
 	// DomainClients, when positive and SimWorkers ≥ 2, switches the parallel
 	// engine to hierarchical-domain mode: the tree is partitioned into local
-	// recovery domains of about this many clients each
-	// (mtree.PartitionDomains) instead of the fixed small shard count, one
-	// engine per domain, cross-domain traffic merged through the same
-	// lookahead-window runner. The domain count is a pure function of
-	// (group size, DomainClients) — never of SimWorkers — so digests stay
-	// bit-identical at any worker count. This is the million-client tier's
+	// recovery domains of about this many clients each (⌈clients/
+	// DomainClients⌉ bands of mtree.PartitionTree) instead of the fixed
+	// small shard count, one engine per domain, cross-domain traffic merged
+	// through the same lookahead-window runner. The domain count is a pure
+	// function of (group size, DomainClients) — never of SimWorkers — so
+	// digests stay bit-identical at any worker count. This is the million-client tier's
 	// execution mode: per-domain state is O(n/K), so no single engine ever
-	// materialises the full group. Ineligible configurations fall back to
-	// serial with a "domain mode: …" SerialReason.
+	// materialises the full group. A domain size that leaves no usable
+	// partition falls back to serial with a "domain mode: …" SerialReason.
 	DomainClients int
 	// Check selects the runtime invariant oracle's mode (default: strict —
 	// see CheckMode). The oracle shadows the session's per-(client, seq)
@@ -221,7 +221,8 @@ type Session struct {
 	Trace trace.Tracer
 
 	clientIdx map[graph.NodeID]int
-	received  [][]bool    // [clientIdx][seq]
+	owned     []int       // client indices whose rows this session holds
+	received  [][]bool    // [clientIdx][seq]; nil rows belong to other shards
 	detectAt  [][]float64 // NaN = not (yet) detected
 	sentAt    []float64   // source send time per seq
 	nextExp   []int       // per-client next expected seq (DetectGap)
@@ -232,9 +233,12 @@ type Session struct {
 	perClient []metrics.Summary
 	stats     Stats
 
-	// oracle is the runtime invariant checker (nil under CheckOff);
-	// numNodes caches the topology size for per-packet header validation.
+	// oracle is the runtime invariant checker (nil under CheckOff), and
+	// sent its sent-sequence vector, shared with a sharded run's sub-session
+	// oracles; numNodes caches the topology size for per-packet header
+	// validation.
 	oracle   *check.Oracle
+	sent     []bool
 	numNodes int
 
 	// latLog, when enabled, records every recovery-latency observation with
@@ -343,7 +347,7 @@ type Result struct {
 	// Sharded reports whether the run actually executed on the conservative
 	// parallel engine. SerialReason, set only when Config.SimWorkers
 	// requested sharding but the run fell back to the serial path, names the
-	// first eligibility condition that failed (see parallelEligible) — so
+	// first eligibility condition that failed (see planParallel) — so
 	// users stop guessing why -simworkers made no difference.
 	Sharded      bool
 	SerialReason string
@@ -452,7 +456,6 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 	root := rng.New(seed)
 	netRand := root.Split()
 	protoRand := root.Split()
-	eng := sim.NewEngine()
 	if routes == nil {
 		routes = route.Build(topo)
 	} else {
@@ -461,7 +464,7 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 			routes.Prepare(c)
 		}
 	}
-	net := sim.NewNet(eng, topo, tree, routes, netRand)
+	net := sim.NewNet(sim.NewEngine(), topo, tree, routes, netRand)
 	net.ControlLoss = cfg.LossyRecovery
 	net.Jitter = cfg.Jitter
 	if cfg.PacketTime > 0 {
@@ -479,43 +482,11 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 		}
 		net.InstallFault(fault.NewState(cfg.Fault, root.Split()))
 	}
-	s := &Session{
-		Eng:       eng,
-		Net:       net,
-		Topo:      topo,
-		Tree:      tree,
-		Routes:    routes,
-		Rand:      protoRand,
-		cfg:       cfg,
-		engine:    engine,
-		seed:      seed,
-		clientIdx: make(map[graph.NodeID]int, len(topo.Clients)),
-		received:  make([][]bool, len(topo.Clients)),
-		detectAt:  make([][]float64, len(topo.Clients)),
-		sentAt:    make([]float64, cfg.Packets),
-		nextExp:   make([]int, len(topo.Clients)),
-		latHist:   metrics.NewHistogram(0, 5000, 500),
-		perClient: make([]metrics.Summary, len(topo.Clients)),
-		numNodes:  topo.NumNodes(),
+	s := newSession(net, engine, protoRand, cfg, seed, nil)
+	for i := range topo.Clients {
+		s.own(i)
 	}
-	if cfg.Check != CheckOff {
-		s.oracle = check.New(len(topo.Clients), cfg.Packets, cfg.Check == CheckStrict)
-	}
-	for i, c := range topo.Clients {
-		s.clientIdx[c] = i
-		s.received[i] = make([]bool, cfg.Packets)
-		s.detectAt[i] = make([]float64, cfg.Packets)
-		for j := range s.detectAt[i] {
-			s.detectAt[i][j] = math.NaN()
-		}
-	}
-	// Every host (clients + source) feeds deliveries through the session.
-	for _, c := range topo.Clients {
-		c := c
-		s.Net.SetHandler(c, func(pkt sim.Packet) { s.onDeliver(c, pkt) })
-	}
-	src := topo.Source
-	s.Net.SetHandler(src, func(pkt sim.Packet) { s.onDeliver(src, pkt) })
+	s.handle(topo.Source)
 	engine.Attach(s)
 	if !cfg.Fault.Empty() {
 		// Role-aware validation, pass 2: with the engine attached its
@@ -528,20 +499,74 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 			}
 		}
 	}
-	if net.Fault != nil {
-		fa, _ := engine.(FaultAware)
-		net.OnCrash = func(h graph.NodeID) {
-			if fa != nil {
-				fa.OnCrash(h)
-			}
+	return s, nil
+}
+
+// newSession assembles a session over net with no client rows yet: own adds
+// them. The root session (parent nil) builds the client index, the send
+// schedule and the oracle's sent vector; a sharded run's sub-sessions share
+// the parent's copies read-only and log their latencies for the merge. Any
+// fault state must already be installed on net, since the FaultAware hooks
+// are wired here.
+func newSession(net *sim.Net, engine Engine, r *rng.Rand, cfg Config, seed uint64, parent *Session) *Session {
+	clients := len(net.Topo.Clients)
+	s := &Session{
+		Eng:       net.Eng,
+		Net:       net,
+		Topo:      net.Topo,
+		Tree:      net.Tree,
+		Routes:    net.Routes,
+		Rand:      r,
+		cfg:       cfg,
+		engine:    engine,
+		seed:      seed,
+		received:  make([][]bool, clients),
+		detectAt:  make([][]float64, clients),
+		nextExp:   make([]int, clients),
+		latHist:   metrics.NewHistogram(0, 5000, 500),
+		perClient: make([]metrics.Summary, clients),
+		numNodes:  net.Topo.NumNodes(),
+		latLogOn:  parent != nil,
+	}
+	if parent != nil {
+		s.clientIdx, s.sentAt, s.sent = parent.clientIdx, parent.sentAt, parent.sent
+	} else {
+		s.clientIdx = make(map[graph.NodeID]int, clients)
+		for i, c := range net.Topo.Clients {
+			s.clientIdx[c] = i
 		}
-		net.OnRecover = func(h graph.NodeID) {
-			if fa != nil {
-				fa.OnRecover(h)
-			}
+		s.sentAt = make([]float64, cfg.Packets)
+		for seq := range s.sentAt {
+			s.sentAt[seq] = float64(seq) * cfg.Interval
+		}
+		if cfg.Check != CheckOff {
+			s.sent = make([]bool, cfg.Packets)
 		}
 	}
-	return s, nil
+	if s.sent != nil {
+		s.oracle = check.NewShard(clients, cfg.Packets, cfg.Check == CheckStrict, s.sent)
+	}
+	if fa, ok := engine.(FaultAware); ok && net.Fault != nil {
+		net.OnCrash, net.OnRecover = fa.OnCrash, fa.OnRecover
+	}
+	return s
+}
+
+// own makes client i this session's: it allocates the client's delivery and
+// detection rows and routes the client's packets through the session.
+func (s *Session) own(i int) {
+	s.owned = append(s.owned, i)
+	s.received[i] = make([]bool, s.cfg.Packets)
+	s.detectAt[i] = make([]float64, s.cfg.Packets)
+	for j := range s.detectAt[i] {
+		s.detectAt[i][j] = math.NaN()
+	}
+	s.handle(s.Topo.Clients[i])
+}
+
+// handle feeds every packet delivered to host through the session.
+func (s *Session) handle(host graph.NodeID) {
+	s.Net.SetHandler(host, func(pkt sim.Packet) { s.onDeliver(host, pkt) })
 }
 
 // Alive reports whether a host is up at the current simulation time (always
@@ -1023,7 +1048,11 @@ func (s *Session) NoteFencedStale() {
 
 // Run executes the whole session and returns the result.
 func (s *Session) Run() *Result {
-	if res := s.runSharded(); res != nil {
+	maxEvents := s.cfg.MaxEvents
+	if maxEvents == 0 {
+		maxEvents = 50_000_000
+	}
+	if res := s.runSharded(maxEvents); res != nil {
 		return res
 	}
 	if s.Trace != nil {
@@ -1045,20 +1074,28 @@ func (s *Session) Run() *Result {
 				Node: int32(link), Peer: -1, Seq: pkt.Seq})
 		}
 	}
-	var maxArrive float64
-	for _, c := range s.Topo.Clients {
-		if w := s.Net.WouldArrive(c); w > maxArrive {
-			maxArrive = w
-		}
+	s.scheduleProgram(true)
+	executed := s.Eng.Run(maxEvents)
+	return s.finish([]Engine{s.engine}, executed, s.Eng.Now(), s.Eng.Pending() == 0)
+}
+
+// scheduleProgram schedules the run's fixed program on the session's engine:
+// the data sends when source is set, and loss detection for the owned
+// clients. Ideal detection is scheduled seq-major, then client, so a
+// shard's slice keeps the serial relative order of same-instant events.
+func (s *Session) scheduleProgram(source bool) {
+	if s.cfg.Detection == DetectIdeal {
+		// The detect program alone is Packets × owned events resident at
+		// once; reserving up front avoids the heap's growth overshoot.
+		s.Eng.Reserve(s.cfg.Packets * (len(s.owned) + 2))
 	}
-	for seq := 0; seq < s.cfg.Packets; seq++ {
-		at := float64(seq) * s.cfg.Interval
-		s.sentAt[seq] = at
-		s.Eng.ScheduleCall(at, s, opSendData, seq, 0)
+	for seq, at := range s.sentAt {
+		if source {
+			s.Eng.ScheduleCall(at, s, opSendData, seq, 0)
+		}
 		if s.cfg.Detection == DetectIdeal {
-			// Idealised loss detection per client.
-			for i, c := range s.Topo.Clients {
-				when := at + s.Net.WouldArrive(c) + s.cfg.DetectLag + detectEps
+			for _, i := range s.owned {
+				when := at + s.Net.WouldArrive(s.Topo.Clients[i]) + s.cfg.DetectLag + detectEps
 				s.Eng.ScheduleCall(when, s, opDetect, i, seq)
 			}
 		}
@@ -1067,20 +1104,26 @@ func (s *Session) Run() *Result {
 		// Tail sweep: losses of the final packets are never exposed by a
 		// later arrival (and the final heartbeat can itself be lost), so
 		// declare them after a grace period.
+		var maxArrive float64
+		for _, c := range s.Topo.Clients {
+			if w := s.Net.WouldArrive(c); w > maxArrive {
+				maxArrive = w
+			}
+		}
 		tailLag := s.cfg.GapTailLag
 		if tailLag <= 0 {
 			tailLag = 2 * s.cfg.Interval
 		}
 		sweepAt := float64(s.cfg.Packets-1)*s.cfg.Interval + maxArrive + tailLag
 		s.Eng.Schedule(sweepAt, func() {
-			for i, c := range s.Topo.Clients {
+			for _, i := range s.owned {
 				for seq := 0; seq < s.cfg.Packets; seq++ {
-					s.detectLoss(i, c, seq)
+					s.detectLoss(i, s.Topo.Clients[i], seq)
 				}
 			}
 		})
 	}
-	if s.cfg.Detection == DetectSession {
+	if s.cfg.Detection == DetectSession && source {
 		hb := s.cfg.HeartbeatInterval
 		if hb <= 0 {
 			hb = 4 * s.cfg.Interval
@@ -1094,24 +1137,26 @@ func (s *Session) Run() *Result {
 			s.Eng.ScheduleCall(at, s, opHeartbeat, highest, 0)
 		}
 	}
-	maxEvents := s.cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
-	}
-	executed := s.Eng.Run(maxEvents)
-	complete := s.Eng.Pending() == 0
+}
 
+// finish closes a run that executed events and ended at time end:
+// it classifies every (client, seq) pair, audits the dedup caches of the
+// engines that ran, has the oracle check its end-of-run invariants against
+// the session's totals, and builds the Result. A sharded run reaches it
+// after mergeShards has folded the shards into this session.
+func (s *Session) finish(ran []Engine, executed uint64, end float64, complete bool) *Result {
+	down := make([]bool, len(s.Topo.Clients))
 	for i, c := range s.Topo.Clients {
 		// A client still down when the run ends (permanent crash, or a
 		// window outlasting the traffic) keeps its missing packets as
 		// UnrecoveredCrashed; for a live client an open gap is a liveness
 		// violation and stays in Unrecovered.
-		down := s.Net.Fault != nil && !s.Net.Fault.HostUpAt(c, s.Eng.Now())
+		down[i] = s.Net.Fault != nil && !s.Net.Fault.HostUpAt(c, end)
 		for seq, got := range s.received[i] {
 			switch {
 			case got:
 				s.stats.Delivered++
-			case down:
+			case down[i]:
 				s.stats.UnrecoveredCrashed++
 			case !math.IsNaN(s.detectAt[i][seq]):
 				s.stats.Unrecovered++
@@ -1120,14 +1165,12 @@ func (s *Session) Run() *Result {
 	}
 	var violations []string
 	if s.oracle != nil {
-		if da, ok := s.engine.(DedupAudited); ok {
-			for _, cache := range da.DedupCaches() {
-				s.oracle.CheckBound(s.engine.Name()+" dedup cache", cache.Len(), cache.Cap())
+		for _, e := range ran {
+			if da, ok := e.(DedupAudited); ok {
+				for _, cache := range da.DedupCaches() {
+					s.oracle.CheckBound(e.Name()+" dedup cache", cache.Len(), cache.Cap())
+				}
 			}
-		}
-		down := make([]bool, len(s.Topo.Clients))
-		for i, c := range s.Topo.Clients {
-			down[i] = s.Net.Fault != nil && !s.Net.Fault.HostUpAt(c, s.Eng.Now())
 		}
 		violations = s.oracle.Finish(complete, down, check.Totals{
 			Losses:             s.stats.Losses,
@@ -1166,7 +1209,7 @@ func (s *Session) Run() *Result {
 		Hops:             s.Net.Hops,
 		Drops:            s.Net.Drops,
 		Events:           executed,
-		SimTime:          s.Eng.Now(),
+		SimTime:          end,
 		LatencyHist:      s.latHist,
 		Complete:         complete,
 		SerialReason:     s.serialReason,

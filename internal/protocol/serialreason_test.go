@@ -15,9 +15,9 @@ import (
 	"rmcast/internal/topology"
 )
 
-func reasonTopo(t *testing.T) *topology.Network {
+func reasonTopo(t *testing.T, clients int) *topology.Network {
 	t.Helper()
-	cfg := topology.DefaultTreeConfig(64)
+	cfg := topology.DefaultTreeConfig(clients)
 	net, err := topology.GenerateTree(cfg, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
@@ -25,45 +25,72 @@ func reasonTopo(t *testing.T) *topology.Network {
 	return net
 }
 
-func reasonRun(t *testing.T, e protocol.Engine, cfg protocol.Config) *protocol.Result {
-	t.Helper()
-	s, err := protocol.NewSession(reasonTopo(t), e, cfg, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	if !res.Complete {
-		t.Fatal("incomplete run")
-	}
-	return res
-}
-
+// TestSerialReasonReported walks every path planParallel decides: each
+// fallback must report ParallelEligible() == false, run serial, and name
+// its cause; each eligible configuration must shard with no reason.
 func TestSerialReasonReported(t *testing.T) {
-	base := protocol.Config{Packets: 10, Interval: 20, SimWorkers: 4}
-
-	// An engine with no ShardCloner must fall back and name itself.
-	res := reasonRun(t, srm.New(srm.DefaultOptions()), base)
-	if res.Sharded {
-		t.Fatal("SRM claimed to have sharded")
+	rpFailover := rpproto.DefaultOptions()
+	rpFailover.Failover = rpproto.DefaultFailover()
+	rows := []struct {
+		name    string
+		clients int
+		engine  protocol.Engine
+		mod     func(*protocol.Config)
+		reason  string // "" = the run must shard
+	}{
+		{"no CloneForShard", 64, srm.New(srm.DefaultOptions()), nil,
+			"engine SRM cannot be sharded"},
+		{"nil clone", 64, rpproto.New(rpFailover), nil,
+			"cannot shard under its current options"},
+		{"gap detection", 64, rpproto.New(rpproto.DefaultOptions()),
+			func(c *protocol.Config) { c.Detection = protocol.DetectGap },
+			"non-ideal loss detection"},
+		{"small group", 12, rpproto.New(rpproto.DefaultOptions()), nil,
+			"group too small to shard (12 clients < 16)"},
+		{"single domain", 64, rpproto.New(rpproto.DefaultOptions()),
+			func(c *protocol.Config) { c.DomainClients = 1000 },
+			"domain mode: degenerate tree partition"},
+		{"eligible", 64, rpproto.New(rpproto.DefaultOptions()), nil, ""},
+		{"eligible domains", 64, rpproto.New(rpproto.DefaultOptions()),
+			func(c *protocol.Config) { c.DomainClients = 16 }, ""},
 	}
-	if !strings.Contains(res.SerialReason, "SRM") {
-		t.Fatalf("fallback reason does not name the engine: %q", res.SerialReason)
-	}
-
-	// An eligible run shards and carries no reason.
-	res = reasonRun(t, rpproto.New(rpproto.DefaultOptions()), base)
-	if !res.Sharded {
-		t.Fatalf("eligible RP run did not shard: %q", res.SerialReason)
-	}
-	if res.SerialReason != "" {
-		t.Fatalf("sharded run carries a fallback reason: %q", res.SerialReason)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := protocol.Config{Packets: 10, Interval: 20, SimWorkers: 4}
+			if row.mod != nil {
+				row.mod(&cfg)
+			}
+			s, err := protocol.NewSession(reasonTopo(t, row.clients), row.engine, cfg, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := row.reason == ""
+			if got := s.ParallelEligible(); got != want {
+				t.Fatalf("ParallelEligible() = %v, want %v", got, want)
+			}
+			res := s.Run()
+			if !res.Complete {
+				t.Fatal("incomplete run")
+			}
+			if res.Sharded != want {
+				t.Fatalf("Sharded = %v, want %v (reason %q)", res.Sharded, want, res.SerialReason)
+			}
+			if want && res.SerialReason != "" {
+				t.Fatalf("sharded run carries a fallback reason: %q", res.SerialReason)
+			}
+			if !strings.Contains(res.SerialReason, row.reason) {
+				t.Fatalf("fallback reason %q does not contain %q", res.SerialReason, row.reason)
+			}
+		})
 	}
 
 	// A run that never requested sharding reports neither.
-	serial := base
-	serial.SimWorkers = 0
-	res = reasonRun(t, srm.New(srm.DefaultOptions()), serial)
-	if res.Sharded || res.SerialReason != "" {
+	s, err := protocol.NewSession(reasonTopo(t, 64), srm.New(srm.DefaultOptions()),
+		protocol.Config{Packets: 10, Interval: 20}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Run(); res.Sharded || res.SerialReason != "" {
 		t.Fatalf("serial-by-default run got parallel bookkeeping: sharded=%v reason=%q",
 			res.Sharded, res.SerialReason)
 	}
