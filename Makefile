@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet check bench bench-json bench-diff bench-parallel smoke-bench profile figures cover fuzz fuzz-short soak clean
+.PHONY: all build test test-race vet check perfbench-check bench bench-json bench-diff bench-parallel smoke-bench profile figures cover fuzz fuzz-short soak clean
 
 all: build vet test
 
@@ -21,6 +21,14 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# perfbench/ is its own Go module, so `./...` above never reaches it. Its
+# tests run every workload reduced and check the outputs: the sharded run
+# really shards, traced and untraced twins hash alike, and the paper's
+# protocol ordering holds.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # One short benchmark pass over every suite (full runs: drop -benchtime).
 bench:

@@ -1,15 +1,16 @@
 package rmcast
 
-// One benchmark per paper figure (DESIGN.md experiments E1–E4), plus the
-// ablation (E7) and the strategy-computation scaling probe (E5; the
-// fine-grained version lives in internal/core). Each benchmark iteration
-// executes one full simulation run of one figure cell and reports the
-// figure's metric via b.ReportMetric, so
+// Two benchmarks regenerate the paper's figures (DESIGN.md experiments
+// E1–E4; each latency figure shares its runs with the bandwidth figure after
+// it), plus the ablation (E7) and the strategy-computation scaling probe
+// (E5; the fine-grained version lives in internal/core). Each benchmark
+// iteration executes one full simulation run of one figure cell and reports
+// the figure's metrics via b.ReportMetric, so
 //
 //	go test -bench 'Figure5' -benchmem
 //
-// regenerates the latency column of Figure 5 cell by cell
-// (ms/recovery), and similarly for the other figures. cmd/figures prints
+// regenerates Figure 5 (ms/recovery) and Figure 6 (hops/recovery) cell by
+// cell, and BenchmarkFigure7 likewise Figures 7 and 8. cmd/figures prints
 // the same data as assembled tables.
 
 import (
@@ -48,8 +49,9 @@ func benchCell(b *testing.B, spec experiment.RunSpec) {
 	b.ReportMetric(float64(losses), "losses")
 }
 
-// BenchmarkFigure5 regenerates Figure 5 (recovery latency vs group size,
-// p=5%): read the ms/recovery metric per cell.
+// BenchmarkFigure5 regenerates Figures 5 and 6 (recovery latency and
+// bandwidth vs group size, p=5%), which the paper derives from one
+// experiment: read ms/recovery for Figure 5 and hops/recovery for Figure 6.
 func BenchmarkFigure5(b *testing.B) {
 	for _, size := range []int{50, 100, 200, 300, 400, 500, 600} {
 		for _, proto := range experiment.PaperProtocols {
@@ -64,42 +66,10 @@ func BenchmarkFigure5(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure6 regenerates Figure 6 (recovery bandwidth vs group size,
-// p=5%): read the hops/recovery metric per cell. Same runs as Figure 5 —
-// the paper derives both figures from one experiment.
-func BenchmarkFigure6(b *testing.B) {
-	for _, size := range []int{50, 100, 200, 300, 400, 500, 600} {
-		for _, proto := range experiment.PaperProtocols {
-			b.Run(fmt.Sprintf("n=%d/%s", size, proto), func(b *testing.B) {
-				benchCell(b, experiment.RunSpec{
-					Routers: size, Loss: 0.05, Protocol: proto,
-					Packets: benchPackets, Interval: 50,
-					TopoSeed: 2003 + uint64(size), SimSeed: 1,
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFigure7 regenerates Figure 7 (recovery latency vs per-link loss,
-// n=500): read ms/recovery per cell.
+// BenchmarkFigure7 regenerates Figures 7 and 8 (recovery latency and
+// bandwidth vs per-link loss, n=500) from one set of runs: read ms/recovery
+// for Figure 7 and hops/recovery for Figure 8.
 func BenchmarkFigure7(b *testing.B) {
-	for _, pct := range []float64{2, 6, 10, 14, 20} {
-		for _, proto := range experiment.PaperProtocols {
-			b.Run(fmt.Sprintf("p=%g%%/%s", pct, proto), func(b *testing.B) {
-				benchCell(b, experiment.RunSpec{
-					Routers: 500, Loss: pct / 100, Protocol: proto,
-					Packets: benchPackets, Interval: 50,
-					TopoSeed: 2003, SimSeed: uint64(pct),
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFigure8 regenerates Figure 8 (recovery bandwidth vs per-link
-// loss, n=500): read hops/recovery per cell. Same runs as Figure 7.
-func BenchmarkFigure8(b *testing.B) {
 	for _, pct := range []float64{2, 6, 10, 14, 20} {
 		for _, proto := range experiment.PaperProtocols {
 			b.Run(fmt.Sprintf("p=%g%%/%s", pct, proto), func(b *testing.B) {

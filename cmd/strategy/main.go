@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	p := core.NewPlanner(tree, route.Build(topo))
+	p := core.NewPlanner(tree, route.Default(topo, tree))
 	p.Timeout = core.ProportionalTimeout(*beta)
 	p.AllowDirectSource = !*noDirect
 
@@ -132,7 +132,7 @@ func main() {
 func runStress(routers int, seed uint64, beta float64, allowDirect bool, readers, churnRate int, d time.Duration) {
 	net := topology.MustGenerateTree(topology.DefaultTreeConfig(routers), rng.New(seed))
 	tree := mtree.MustBuild(net)
-	p := core.NewPlanner(tree, route.NewTreeTables(tree))
+	p := core.NewPlanner(tree, route.Default(net, tree))
 	p.Timeout = core.ProportionalTimeout(beta)
 	p.AllowDirectSource = allowDirect
 	fmt.Printf("topology: %d routers (pure tree), %d clients, tree depth max %d\n",

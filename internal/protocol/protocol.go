@@ -435,7 +435,8 @@ func NewSession(topo *topology.Network, engine Engine, cfg Config, seed uint64) 
 
 // NewSessionWithRouter is NewSession with an injected routing substrate
 // (e.g. internal/lsr's converged link-state routing, whose delay estimates
-// carry measurement noise). nil means route.Build's oracle.
+// carry measurement noise). nil means the omniscient oracle route.Default
+// picks: tree routing on a tree-only topology, route.Build otherwise.
 func NewSessionWithRouter(topo *topology.Network, engine Engine, cfg Config, seed uint64, routes route.Router) (*Session, error) {
 	tree, err := mtree.Build(topo)
 	if err != nil {
@@ -457,7 +458,7 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 	netRand := root.Split()
 	protoRand := root.Split()
 	if routes == nil {
-		routes = route.Build(topo)
+		routes = route.Default(topo, tree)
 	} else {
 		routes.Prepare(topo.Source)
 		for _, c := range topo.Clients {

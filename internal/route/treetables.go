@@ -3,6 +3,7 @@ package route
 import (
 	"rmcast/internal/graph"
 	"rmcast/internal/mtree"
+	"rmcast/internal/topology"
 )
 
 // TreeTables is a Router whose metric IS the multicast tree: delays are
@@ -11,9 +12,11 @@ import (
 // Dijkstra per client (O(N·(E+V log V)) at build), which dominates the
 // planning time this repo measures at 50k clients, whereas TreeTables needs
 // no preprocessing at all. On tree-only topologies — every link a tree link
-// — the two routers agree exactly; TreeTables also unconditionally
-// satisfies the batch planner's tree-metric precondition, so planning runs
-// on the near-linear aggregated path.
+// — the two routers give identical next hops and hop counts, and delays that
+// agree up to float rounding (the sums run in a different order), so the
+// planner derives the same peer order from either. TreeTables also
+// unconditionally satisfies the batch planner's tree-metric precondition,
+// so planning runs on the near-linear aggregated path.
 //
 // TreeTables is stateless after construction and safe for concurrent use.
 type TreeTables struct {
@@ -87,3 +90,15 @@ func (t *TreeTables) Hops(a, b graph.NodeID) int {
 
 // Prepare is a no-op: the tree metric needs no per-destination state.
 func (t *TreeTables) Prepare(graph.NodeID) {}
+
+// Default is the router used when a caller supplies none. When every link
+// of net is a tree link, the minimum-delay unicast path (§5.1) is the tree
+// path, so it returns TreeTables, which needs no preprocessing; otherwise it
+// returns Build(net), one Dijkstra per host. tree must be net's multicast
+// tree.
+func Default(net *topology.Network, tree *mtree.Tree) Router {
+	if len(net.TreeEdges) == net.NumLinks() {
+		return NewTreeTables(tree)
+	}
+	return Build(net)
+}

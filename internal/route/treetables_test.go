@@ -11,10 +11,12 @@ import (
 )
 
 // TestTreeTablesMatchesDijkstraOnTreeOnly: on a topology whose only links
-// are tree links, the shortest-path metric IS the tree metric, so
-// TreeTables must agree with the Dijkstra tables on every router query.
+// are tree links, the shortest-path metric IS the tree metric. Over every
+// host pair of a 300-client tree (and every node's next hop toward every
+// host), TreeTables must give the Dijkstra tables' exact next hops and hop
+// counts, and their delays up to float rounding (within 1e-9 ms).
 func TestTreeTablesMatchesDijkstraOnTreeOnly(t *testing.T) {
-	net, err := topology.GenerateTree(topology.DefaultTreeConfig(80), rng.New(3))
+	net, err := topology.GenerateTree(topology.DefaultTreeConfig(300), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,22 +26,68 @@ func TestTreeTablesMatchesDijkstraOnTreeOnly(t *testing.T) {
 	if tt.Tree() != tree {
 		t.Fatal("Tree() accessor broken")
 	}
+	near := func(x, y float64) bool { return math.Abs(x-y) <= 1e-9 }
 	ends := append([]graph.NodeID{net.Source}, net.Clients...)
-	for _, a := range ends[:20] {
-		for _, b := range ends[:20] {
-			if a == b {
-				continue
+	for _, b := range ends {
+		for v := 0; v < net.NumNodes(); v++ {
+			cur := graph.NodeID(v)
+			n1, e1 := tt.NextHop(cur, b)
+			n2, e2 := dij.NextHop(cur, b)
+			if n1 != n2 || e1 != e2 {
+				t.Fatalf("NextHop(%d,%d): tree (%d,%d) dijkstra (%d,%d)", cur, b, n1, e1, n2, e2)
 			}
-			if d1, d2 := tt.OneWayDelay(a, b), dij.OneWayDelay(a, b); math.Abs(d1-d2) > 1e-9 {
-				t.Fatalf("OneWayDelay(%d,%d): tree %v dijkstra %v", a, b, d1, d2)
-			}
-			if r1, r2 := tt.RTT(a, b), dij.RTT(a, b); math.Abs(r1-r2) > 1e-9 {
-				t.Fatalf("RTT(%d,%d): tree %v dijkstra %v", a, b, r1, r2)
-			}
+		}
+		for _, a := range ends {
 			if h1, h2 := tt.Hops(a, b), dij.Hops(a, b); h1 != h2 {
 				t.Fatalf("Hops(%d,%d): tree %d dijkstra %d", a, b, h1, h2)
 			}
+			if d1, d2 := tt.OneWayDelay(a, b), dij.OneWayDelay(a, b); !near(d1, d2) {
+				t.Fatalf("OneWayDelay(%d,%d): tree %v dijkstra %v", a, b, d1, d2)
+			}
+			if r1, r2 := tt.RTT(a, b), dij.RTT(a, b); !near(r1, r2) {
+				t.Fatalf("RTT(%d,%d): tree %v dijkstra %v", a, b, r1, r2)
+			}
 		}
+	}
+}
+
+// TestDefaultPicksTreeTablesOnTreeOnly: Default routes on the tree exactly
+// when every link is a tree link; one off-tree link brings back Dijkstra.
+func TestDefaultPicksTreeTablesOnTreeOnly(t *testing.T) {
+	gen, err := topology.GenerateTree(topology.DefaultTreeConfig(40), rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	genTree := mtree.MustBuild(gen)
+	r := Default(gen, genTree)
+	if tt, ok := r.(*TreeTables); !ok || tt.Tree() != genTree {
+		t.Fatalf("GenerateTree network: Default = %T, want *TreeTables over its tree", r)
+	}
+	build := func(shortcut bool) *topology.Network {
+		b := topology.NewBuilder()
+		s := b.Source()
+		r1, r2 := b.Router(), b.Router()
+		c1, c2 := b.Client(), b.Client()
+		b.TreeLink(s, r1, 1)
+		b.TreeLink(r1, r2, 2)
+		b.TreeLink(r1, c1, 1)
+		b.TreeLink(r2, c2, 1)
+		if shortcut {
+			b.Link(c1, c2, 10)
+		}
+		net, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	tree := build(false)
+	if _, ok := Default(tree, mtree.MustBuild(tree)).(*TreeTables); !ok {
+		t.Fatal("tree-only Builder network: Default did not pick *TreeTables")
+	}
+	chorded := build(true)
+	if tab, ok := Default(chorded, mtree.MustBuild(chorded)).(*Tables); !ok || tab.Network() != chorded {
+		t.Fatal("network with an off-tree link: Default did not pick *Tables over it")
 	}
 }
 

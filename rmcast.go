@@ -154,13 +154,10 @@ func DefaultPlannerOptions() PlannerOptions {
 // Strategies computes the optimal recovery strategy (Algorithm 1) for every
 // client of t.
 func Strategies(t *Topology, opt PlannerOptions) (map[NodeID]*Strategy, error) {
-	tree, err := mtree.Build(t)
+	p, err := newPlanner(t, opt)
 	if err != nil {
 		return nil, err
 	}
-	p := core.NewPlanner(tree, route.Build(t))
-	p.Timeout = opt.Timeout
-	p.AllowDirectSource = opt.AllowDirectSource
 	return p.All(), nil
 }
 
@@ -171,26 +168,33 @@ type Roster = core.Roster
 // NewRoster builds a churn-capable strategy roster over t's full client
 // set.
 func NewRoster(t *Topology, opt PlannerOptions) (*Roster, error) {
-	tree, err := mtree.Build(t)
+	p, err := newPlanner(t, opt)
 	if err != nil {
 		return nil, err
 	}
-	p := core.NewPlanner(tree, route.Build(t))
-	p.Timeout = opt.Timeout
-	p.AllowDirectSource = opt.AllowDirectSource
 	return core.NewRoster(p), nil
 }
 
 // StrategyFor computes the optimal recovery strategy for a single client.
 func StrategyFor(t *Topology, client NodeID, opt PlannerOptions) (*Strategy, error) {
+	p, err := newPlanner(t, opt)
+	if err != nil {
+		return nil, err
+	}
+	return p.StrategyFor(client), nil
+}
+
+// newPlanner builds the planner behind the strategy functions: t's multicast
+// tree, the router route.Default picks for t, and opt's settings.
+func newPlanner(t *Topology, opt PlannerOptions) (*core.Planner, error) {
 	tree, err := mtree.Build(t)
 	if err != nil {
 		return nil, err
 	}
-	p := core.NewPlanner(tree, route.Build(t))
+	p := core.NewPlanner(tree, route.Default(t, tree))
 	p.Timeout = opt.Timeout
 	p.AllowDirectSource = opt.AllowDirectSource
-	return p.StrategyFor(client), nil
+	return p, nil
 }
 
 // Protocols lists the recovery protocols Simulate accepts.
