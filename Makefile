@@ -63,7 +63,9 @@ bench-diff:
 # burning CI minutes on the full sweep. The n=1000 scaling cell also runs
 # the O(N²) scan baseline and cross-verifies the fast path against it, and
 # -simworkers adds a sharded simulation whose digest must match its serial
-# twin exactly (the sweep exits nonzero on divergence).
+# twin exactly (the sweep exits nonzero on divergence). The reduced
+# `figures -fig all` run drives every sweep constructor through the one
+# -fig dispatch table.
 smoke-bench:
 	$(GO) test -run TestAllocs -count=1 ./internal/sim
 	$(GO) test -run xxx -bench 'BenchmarkFigure5/n=50$$' -benchmem -benchtime 1x .
@@ -71,6 +73,7 @@ smoke-bench:
 	$(GO) run ./cmd/rmsim -scaling -sizes 1000 -simworkers 4
 	$(GO) run ./cmd/rmsim -scaling -sizes 1000 -simworkers 4 -domainsize 64
 	$(GO) run ./cmd/rmsim -churn -routers 40 -packets 15
+	$(GO) run ./cmd/figures -fig all -packets 10 -csv > /dev/null
 	$(GO) test -run xxx -bench 'BenchmarkFailover$$' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkStrategyService/readers=4/churn=2000$$' -benchmem -benchtime 1x ./internal/strategysvc
 

@@ -444,20 +444,15 @@ func BenchmarkPlannerAll(b *testing.B) {
 // approach serial-time ÷ min(workers, cells); the figures it produces are
 // bit-identical either way (asserted by the experiment tests).
 func BenchmarkParallelSweep(b *testing.B) {
-	sweep := experiment.GroupSizeSweep{
-		Sizes:      []int{50, 100, 150, 200},
-		Loss:       0.05,
-		Packets:    benchPackets,
-		Interval:   50,
-		Replicates: 1,
-		BaseSeed:   2003,
-	}
+	sweep := experiment.PaperFigure56()
+	sweep.Xs = []float64{50, 100, 150, 200}
+	sweep.Packets = benchPackets
 	for _, workers := range []int{1, 2, 4, experiment.DefaultParallelism()} {
 		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
 			s := sweep
 			s.Parallel = workers
 			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Run(); err != nil {
+				if _, err := s.Run(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,10 @@
 //	benchdiff OLD.json NEW.json
 //	benchdiff -threshold 0.10 -track '^BenchmarkFigure5/' OLD.json NEW.json
 //
+// The two captures must come from the same host: benchdiff reads each
+// capture's "cpu:" header and the GOMAXPROCS suffix of its benchmark names
+// (none means 1) and exits 2, naming both hosts, when they differ.
+//
 // Only benchmarks whose names match -track gate the exit status (the
 // default tracks the paper-figure macro benchmarks, the batch planner, and
 // the parallel-engine cells); everything else is reported for information. Improvements never fail.
@@ -50,6 +54,11 @@ import (
 // GOMAXPROCS suffix is stripped from the reported name.
 var benchLine = regexp.MustCompile(`^(Benchmark[^\s]+?)(-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
+// nameField matches the padded name a benchmark prints before its numbers
+// when test2json flushes them as separate events, e.g.
+// "BenchmarkFigure5/n=50/SRM-8   \t"; it carries the GOMAXPROCS suffix too.
+var nameField = regexp.MustCompile(`^Benchmark\S+?(-\d+)?\s*\t`)
+
 // nsOnly matches the numbers-only form test2json emits when the benchmark
 // name was flushed in an earlier output event; the name then rides in the
 // event's Test field.
@@ -80,6 +89,21 @@ type result struct {
 	HasP99    bool
 }
 
+// host identifies the machine a capture ran on: the distinct "cpu:"
+// headers and GOMAXPROCS values it contains, each sorted and joined.
+type host struct{ cpu, procs string }
+
+func (h host) String() string { return fmt.Sprintf("cpu %q, GOMAXPROCS %s", h.cpu, h.procs) }
+
+// hostMismatch reports an error naming both hosts when two captures come
+// from different machines or GOMAXPROCS settings.
+func hostMismatch(oldPath string, old host, newPath string, new host) error {
+	if old == new {
+		return nil
+	}
+	return fmt.Errorf("captures come from different hosts: %s (%s) vs %s (%s)", oldPath, old, newPath, new)
+}
+
 // parse extracts benchmark name → metrics from a capture file. A benchmark
 // appearing several times (bench-json appends whole suite passes; -count
 // also works) keeps its *minimum* ns/op: repeat samples minutes apart see
@@ -87,13 +111,14 @@ type result struct {
 // inflates a timing, the minimum is the robust estimator of the true cost.
 // Allocs keep the maximum, so an allocation regression can never hide
 // behind one lucky sample.
-func parse(path string) (map[string]result, error) {
+func parse(path string) (map[string]result, host, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, host{}, err
 	}
 	defer f.Close()
 	res := make(map[string]result)
+	cpus, procs := map[string]bool{}, map[string]bool{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -101,11 +126,23 @@ func parse(path string) (map[string]result, error) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			continue // tolerate non-JSON lines (raw bench output)
 		}
-		if ev.Action != "output" || !strings.Contains(ev.Output, " ns/op") {
+		if ev.Action != "output" {
+			continue
+		}
+		if cpu, ok := strings.CutPrefix(ev.Output, "cpu: "); ok {
+			cpus[strings.TrimSpace(cpu)] = true
+		}
+		m := benchLine.FindStringSubmatch(ev.Output)
+		if m != nil {
+			procs[gomaxprocs(m[2])] = true
+		} else if n := nameField.FindStringSubmatch(ev.Output); n != nil {
+			procs[gomaxprocs(n[1])] = true
+		}
+		if !strings.Contains(ev.Output, " ns/op") {
 			continue
 		}
 		name, val := ev.Test, ""
-		if m := benchLine.FindStringSubmatch(ev.Output); m != nil {
+		if m != nil {
 			if name == "" {
 				name = m[1]
 			}
@@ -152,12 +189,31 @@ func parse(path string) (map[string]result, error) {
 		res[name] = r
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, host{}, err
 	}
 	if len(res) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark results found", path)
+		return nil, host{}, fmt.Errorf("%s: no benchmark results found", path)
 	}
-	return res, nil
+	return res, host{cpu: joinKeys(cpus), procs: joinKeys(procs)}, nil
+}
+
+// gomaxprocs turns a benchmark name's -N suffix into N; a name without one
+// ran at GOMAXPROCS 1.
+func gomaxprocs(suffix string) string {
+	if suffix == "" {
+		return "1"
+	}
+	return suffix[1:]
+}
+
+// joinKeys returns a set's members sorted and comma-joined.
+func joinKeys(set map[string]bool) string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ",")
 }
 
 // allocsRegressed applies the allocation gate: relative growth past the
@@ -196,13 +252,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchdiff: bad -allocskip: %v\n", err)
 		os.Exit(2)
 	}
-	oldRes, err := parse(flag.Arg(0))
+	oldRes, oldHost, err := parse(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	newRes, err := parse(flag.Arg(1))
+	newRes, newHost, err := parse(flag.Arg(1))
 	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+		os.Exit(2)
+	}
+	if err := hostMismatch(flag.Arg(0), oldHost, flag.Arg(1), newHost); err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}

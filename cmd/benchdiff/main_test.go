@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestParseReadsNsAndAllocs(t *testing.T) {
 {"Action":"output","Test":"","Output":"BenchmarkOld-8  10  99 ns/op\n"}
 not json at all
 `
-	res, err := parse(writeCapture(t, "cap.json", capture))
+	res, _, err := parse(writeCapture(t, "cap.json", capture))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestParseReadsP99(t *testing.T) {
 {"Action":"output","Test":"BenchmarkStrategyService/readers=4/churn=0","Output":"  3\t 98.2 ns/op\t 0 batch-mean\t 40.00 p50-ns/op\t 40.00 p99-ns/op\t 10183299 qps\t 0 B/op\t 0 allocs/op\n"}
 {"Action":"output","Test":"","Output":"BenchmarkFigure5/n=50/SRM-8  30  5614447 ns/op  120 B/op  7 allocs/op\n"}
 `
-	res, err := parse(writeCapture(t, "cap.json", capture))
+	res, _, err := parse(writeCapture(t, "cap.json", capture))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +84,52 @@ func TestAllocsRegressed(t *testing.T) {
 	for _, c := range cases {
 		if got := allocsRegressed(c.old, c.new, 0.10); got != c.want {
 			t.Errorf("allocsRegressed(%v, %v) = %v, want %v", c.old, c.new, got, c.want)
+		}
+	}
+}
+
+// TestHostMismatchRefused pairs a 1-CPU capture (names without a -N
+// suffix) with a 2-CPU capture of the same machine, and two captures of
+// different CPU models: both pairs must be refused with a message naming
+// both hosts, while two captures of one host compare.
+func TestHostMismatchRefused(t *testing.T) {
+	capture := func(cpu, suffix string) string {
+		return `{"Action":"output","Test":"","Output":"cpu: ` + cpu + `\n"}
+{"Action":"output","Test":"BenchmarkPlanAll/tree","Output":"BenchmarkPlanAll/tree` + suffix + `    \t"}
+{"Action":"output","Test":"BenchmarkPlanAll/tree","Output":"  400\t 2556000 ns/op\t 0 B/op\t 0 allocs/op\n"}
+`
+	}
+	xeon := "Intel(R) Xeon(R) Processor @ 2.10GHz"
+	hostOf := func(name, content string) host {
+		t.Helper()
+		_, h, err := parse(writeCapture(t, name, content))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	one := hostOf("one.json", capture(xeon, ""))
+	oneAgain := hostOf("one-again.json", capture(xeon, ""))
+	two := hostOf("two.json", capture(xeon, "-2"))
+	other := hostOf("other.json", capture("AMD EPYC 7B13", ""))
+	if one != (host{cpu: xeon, procs: "1"}) || two != (host{cpu: xeon, procs: "2"}) {
+		t.Fatalf("hosts parsed as %v and %v", one, two)
+	}
+	if err := hostMismatch("one.json", one, "one-again.json", oneAgain); err != nil {
+		t.Fatalf("same host refused: %v", err)
+	}
+	for _, c := range []struct {
+		new     host
+		newName string
+	}{{two, "two.json"}, {other, "other.json"}} {
+		err := hostMismatch("one.json", one, c.newName, c.new)
+		if err == nil {
+			t.Fatalf("%s accepted against one.json", c.newName)
+		}
+		for _, want := range []string{"one.json", one.String(), c.newName, c.new.String()} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("message %q does not name %q", err, want)
+			}
 		}
 	}
 }

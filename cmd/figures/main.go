@@ -1,18 +1,22 @@
-// Command figures regenerates the paper's evaluation figures (Figures 5–8)
-// and the ablation table, printing aligned text tables or CSV.
+// Command figures regenerates the paper's evaluation figures (Figures 5–8),
+// the ablation table and the robustness sweeps, printing aligned text
+// tables, markdown or CSV.
 //
 // Usage:
 //
-//	figures                  # all four figures at paper parameters
-//	figures -fig 7           # one figure's sweep
+//	figures                  # every sweep at its default parameters
+//	figures -fig 7           # one figure of the loss sweep
+//	figures -fig 78          # both figures of the loss sweep
 //	figures -fig ablation    # RP-variant ablation
 //	figures -csv -fig 5      # machine-readable output
 //	figures -packets 40      # faster, noisier runs
-//	figures -parallel 1      # force the legacy serial sweep loop
+//	figures -parallel 1      # force the serial reference loop
 //
-// Sweeps fan out over -parallel workers (default: one per CPU); every cell
-// is independently seeded, so the output is bit-identical at any worker
-// count.
+// Every -fig name except scaling selects one experiment.Sweep constructor
+// from one table; -packets, -reps, -seed, -interval and -parallel override
+// the same fields of whichever sweep runs. Sweeps fan out over -parallel
+// workers (default: one per CPU); every cell is independently seeded, so
+// the output is bit-identical at any worker count.
 //
 // The robustness sweeps (-fig chaos, -fig adversarial, -fig churn) compare
 // the paper's engines against the hardened variants, including the
@@ -84,107 +88,9 @@ func main() {
 		}
 	}
 
-	need56 := *fig == "all" || *fig == "5" || *fig == "6" || *fig == "56"
-	need78 := *fig == "all" || *fig == "7" || *fig == "8" || *fig == "78"
-	needAb := *fig == "all" || *fig == "ablation"
-	needCh := *fig == "all" || *fig == "chaos"
-	needAdv := *fig == "all" || *fig == "adversarial"
-	needChu := *fig == "all" || *fig == "churn"
 	// The scaling tier is a planning-performance probe, not a paper figure,
 	// so "all" does not imply it; ask for it explicitly.
-	needSc := *fig == "scaling"
-	if !need56 && !need78 && !needAb && !needCh && !needAdv && !needChu && !needSc {
-		fmt.Fprintf(os.Stderr, "figures: unknown -fig %q\n", *fig)
-		os.Exit(2)
-	}
-
-	if need56 {
-		g := experiment.PaperFigure56()
-		g.Packets, g.Replicates, g.BaseSeed, g.Interval = *packets, *reps, *seed, *interval
-		g.Parallel = *parallel
-		lat, bw, err := g.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		if *fig != "6" {
-			emit(lat)
-		}
-		if *fig != "5" {
-			emit(bw)
-		}
-	}
-	if need78 {
-		l := experiment.PaperFigure78()
-		l.Packets, l.Replicates, l.BaseSeed, l.Interval = *packets, *reps, *seed, *interval
-		l.Parallel = *parallel
-		lat, bw, err := l.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		if *fig != "8" {
-			emit(lat)
-		}
-		if *fig != "7" {
-			emit(bw)
-		}
-	}
-	if needAb {
-		a := experiment.PaperAblation()
-		a.Packets, a.Replicates, a.BaseSeed, a.Interval = *packets, *reps, *seed, *interval
-		a.Parallel = *parallel
-		lat, bw, err := a.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		emit(lat)
-		emit(bw)
-	}
-	if needCh {
-		c := experiment.DefaultChaos()
-		c.Packets, c.Replicates, c.BaseSeed, c.Interval = *packets, *reps, *seed, *interval
-		c.Parallel = *parallel
-		delivery, lat, p99, bw, err := c.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		emit(delivery)
-		emit(lat)
-		emit(p99)
-		emit(bw)
-	}
-	if needAdv {
-		a := experiment.DefaultAdversarial()
-		a.Packets, a.Replicates, a.BaseSeed, a.Interval = *packets, *reps, *seed, *interval
-		a.Parallel = *parallel
-		delivery, lat, p99, bw, err := a.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		emit(delivery)
-		emit(lat)
-		emit(p99)
-		emit(bw)
-	}
-	if needChu {
-		c := experiment.DefaultChurn()
-		c.Packets, c.Replicates, c.BaseSeed, c.Interval = *packets, *reps, *seed, *interval
-		c.Parallel = *parallel
-		delivery, lat, p99, failovers, err := c.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		emit(delivery)
-		emit(lat)
-		emit(p99)
-		emit(failovers)
-	}
-	if needSc {
+	if *fig == "scaling" {
 		s := experiment.DefaultScaling()
 		s.BaseSeed = *seed
 		s.SimWorkers = *simWorkers
@@ -206,5 +112,54 @@ func main() {
 			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 			os.Exit(1)
 		}
+		return
+	}
+	name, pick := *fig, -1
+	if one, ok := singleFigures[name]; ok {
+		name, pick = one.sweep, one.index
+	}
+	ran := false
+	for _, sw := range sweeps {
+		if name != "all" && name != sw.name {
+			continue
+		}
+		ran = true
+		s := sw.make()
+		s.Packets, s.Replicates, s.BaseSeed, s.Interval = *packets, *reps, *seed, *interval
+		s.Parallel = *parallel
+		figs, err := s.Run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+			os.Exit(1)
+		}
+		for i, f := range figs {
+			if pick < 0 || i == pick {
+				emit(f)
+			}
+		}
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "figures: unknown -fig %q\n", *fig)
+		os.Exit(2)
 	}
 }
+
+// sweeps maps each -fig name to its sweep, in the order -fig all runs them.
+var sweeps = []struct {
+	name string
+	make func() experiment.Sweep
+}{
+	{"56", experiment.PaperFigure56},
+	{"78", experiment.PaperFigure78},
+	{"ablation", experiment.PaperAblation},
+	{"chaos", experiment.DefaultChaos},
+	{"adversarial", experiment.DefaultAdversarial},
+	{"churn", experiment.DefaultChurn},
+}
+
+// singleFigures maps a paper figure number to its sweep and its position
+// among that sweep's figures.
+var singleFigures = map[string]struct {
+	sweep string
+	index int
+}{"5": {"56", 0}, "6": {"56", 1}, "7": {"78", 0}, "8": {"78", 1}}

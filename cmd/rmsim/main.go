@@ -11,6 +11,11 @@
 // (default: one per CPU); each run is independently seeded so the printed
 // rows are identical at any worker count. -trace forces serial execution so
 // the event trace stays a single ordered stream.
+//
+// -chaos, -adversarial and -churn run the matching experiment.Sweep instead
+// of a single run, on the -routers/-loss/-packets/-interval topology with
+// -seed as the base seed and -replicates seeds per cell, and print its four
+// figures as tables.
 package main
 
 import (
@@ -107,39 +112,37 @@ func main() {
 		return
 	}
 
-	if *churn {
-		sweep := experiment.DefaultChurn()
+	for _, sw := range []struct {
+		on   bool
+		make func() experiment.Sweep
+	}{
+		{*churn, experiment.DefaultChurn},
+		{*chaos, experiment.DefaultChaos},
+		{*adversarial, experiment.DefaultAdversarial},
+	} {
+		if !sw.on {
+			continue
+		}
+		sweep := sw.make()
 		sweep.Routers = *routers
-		sweep.BaseLoss = *loss
+		sweep.Loss = *loss
 		sweep.Packets = *packets
 		sweep.Interval = *interval
 		sweep.BaseSeed = *simSeed
 		sweep.Replicates = *reps
 		sweep.Parallel = *parallel
-		delivery, latency, p99, failovers, err := sweep.Run()
+		figs, err := sweep.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
 			os.Exit(1)
 		}
-		emitFigures(delivery, latency, p99, failovers)
-		return
-	}
-
-	if *chaos {
-		sweep := experiment.DefaultChaos()
-		sweep.Routers = *routers
-		sweep.BaseLoss = *loss
-		sweep.Packets = *packets
-		sweep.Interval = *interval
-		sweep.BaseSeed = *simSeed
-		sweep.Replicates = *reps
-		sweep.Parallel = *parallel
-		delivery, latency, p99, bandwidth, err := sweep.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
-			os.Exit(1)
+		for _, f := range figs {
+			if err := f.Format(os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Println()
 		}
-		emitFigures(delivery, latency, p99, bandwidth)
 		return
 	}
 
@@ -175,24 +178,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *adversarial {
-		sweep := experiment.DefaultAdversarial()
-		sweep.Routers = *routers
-		sweep.BaseLoss = *loss
-		sweep.Packets = *packets
-		sweep.Interval = *interval
-		sweep.BaseSeed = *simSeed
-		sweep.Replicates = *reps
-		sweep.Parallel = *parallel
-		delivery, latency, p99, bandwidth, err := sweep.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
-			os.Exit(1)
-		}
-		emitFigures(delivery, latency, p99, bandwidth)
 		return
 	}
 
@@ -349,16 +334,5 @@ func main() {
 	if err := tw.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
 		os.Exit(1)
-	}
-}
-
-// emitFigures prints a sweep's four figures as tables.
-func emitFigures(figs ...*experiment.Figure) {
-	for _, f := range figs {
-		if err := f.Format(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
 	}
 }

@@ -1,51 +1,6 @@
 package experiment
 
-import (
-	"bytes"
-	"reflect"
-	"testing"
-)
-
-// TestChaosSweepParallelDeterminism asserts the chaos sweep is byte-identical
-// at any worker count — same assertion the legacy sweeps carry, extended to
-// the fault-injection grid where every cell additionally derives a fault
-// schedule from its seeds.
-func TestChaosSweepParallelDeterminism(t *testing.T) {
-	base := ChaosSweep{
-		Routers:    40,
-		Severities: []float64{0, 0.5, 1},
-		BaseLoss:   0.05,
-		Packets:    15,
-		Interval:   50,
-		Replicates: 2,
-		BaseSeed:   2003,
-	}
-	serial := base
-	serial.Parallel = 1
-	var want [4]*Figure
-	var err error
-	want[0], want[1], want[2], want[3], err = serial.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		par := base
-		par.Parallel = workers
-		var got [4]*Figure
-		got[0], got[1], got[2], got[3], err = par.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("parallel=%d: figure %q differs from serial", workers, want[i].Name)
-			}
-			if !bytes.Equal(figureBytes(t, got[i]), figureBytes(t, want[i])) {
-				t.Fatalf("parallel=%d: figure %q bytes differ from serial", workers, want[i].Name)
-			}
-		}
-	}
-}
+import "testing"
 
 // TestChaosZeroSeverityMatchesLegacy asserts the sweep's severity-0 cells run
 // the exact legacy code path: a spec carrying chaos params at severity 0
@@ -81,21 +36,14 @@ func TestChaosZeroSeverityMatchesLegacy(t *testing.T) {
 // and the harshest severity delivering strictly less for at least one
 // protocol (faults must actually bite).
 func TestChaosSweepSeverityDegradesDelivery(t *testing.T) {
-	c := ChaosSweep{
-		Routers:    40,
-		Severities: []float64{0, 1},
-		BaseLoss:   0.05,
-		Packets:    20,
-		Interval:   50,
-		Replicates: 1,
-		BaseSeed:   2003,
-		Parallel:   4,
-	}
-	delivery, latency, p99, bandwidth, err := c.Run()
+	c := DefaultChaos()
+	c.Routers, c.Xs, c.Packets, c.Parallel = 40, []float64{0, 1}, 20, 4
+	figs, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []*Figure{delivery, latency, p99, bandwidth} {
+	delivery := figs[0]
+	for _, f := range figs {
 		if len(f.Rows) != 2 {
 			t.Fatalf("%q: %d rows, want 2", f.Name, len(f.Rows))
 		}

@@ -32,11 +32,19 @@ var PaperProtocols = []string{"SRM", "RMA", "RP"}
 // by the ablation benchmarks (experiment E7 in DESIGN.md).
 var AblationProtocols = []string{"RP", "RP-AWARE", "RP-NOSRC", "RP-NAK", "RP-SUBGROUP", "SRC", "SRM-HONEST", "SRM-ADAPT", "FEC", "ACK"}
 
-// ChaosProtocols are the engines compared by the chaos sweep (chaos.go):
-// the paper's three, the hardened RP, and the cooperative coded engine.
+// ChaosProtocols are the engines compared by the chaos sweep: the paper's
+// three, the hardened RP, and the cooperative coded engine.
 var ChaosProtocols = []string{"SRM", "RMA", "RP", "RP-RESILIENT", "COOP"}
 
-// ChurnProtocols are the engines compared by the churn sweep (churn.go):
+// AdversarialProtocols are the engines compared by the adversarial sweep:
+// the paper's three plus the source-recovery floor, all carrying the
+// hardening layer (dedup caches, monotonic guards, malformed-packet
+// rejection) this sweep exists to exercise, and the cooperative coded
+// engine, whose symbol plane faces its own mutation class
+// (fault.ClassSymbol: flipped indices, truncated payloads).
+var AdversarialProtocols = []string{"SRM", "RMA", "RP", "SRC", "COOP"}
+
+// ChurnProtocols are the engines compared by the churn sweep:
 // the flooding baseline, plain RP, the hardened RP, and the coordinated
 // failover mode whose RP the churn driver deliberately kills.
 var ChurnProtocols = []string{"SRM", "RP", "RP-RESILIENT", "RP-FAILOVER"}

@@ -59,17 +59,13 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestGroupSizeSweepSmall(t *testing.T) {
-	g := GroupSizeSweep{
-		Sizes:    []int{30, 60},
-		Loss:     0.05,
-		Packets:  25,
-		Interval: 40,
-		BaseSeed: 7,
-	}
-	lat, bw, err := g.Run()
+	g := PaperFigure56()
+	g.Xs, g.Packets, g.Interval, g.BaseSeed = []float64{30, 60}, 25, 40, 7
+	figs, err := g.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	lat, bw := figs[0], figs[1]
 	if len(lat.Rows) != 2 || len(bw.Rows) != 2 {
 		t.Fatalf("row counts %d/%d", len(lat.Rows), len(bw.Rows))
 	}
@@ -92,17 +88,13 @@ func TestGroupSizeSweepSmall(t *testing.T) {
 }
 
 func TestLossSweepSmall(t *testing.T) {
-	l := LossSweep{
-		Routers:  40,
-		LossPcts: []float64{5, 15},
-		Packets:  25,
-		Interval: 40,
-		BaseSeed: 9,
-	}
-	lat, bw, err := l.Run()
+	l := PaperFigure78()
+	l.Routers, l.Xs, l.Packets, l.Interval, l.BaseSeed = 40, []float64{5, 15}, 25, 40, 9
+	figs, err := l.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	lat, bw := figs[0], figs[1]
 	if len(lat.Rows) != 2 || len(bw.Rows) != 2 {
 		t.Fatal("row counts wrong")
 	}
@@ -112,56 +104,41 @@ func TestLossSweepSmall(t *testing.T) {
 }
 
 func TestReplicatesMergeCleanly(t *testing.T) {
-	l := LossSweep{
-		Routers:    30,
-		LossPcts:   []float64{10},
-		Packets:    20,
-		Interval:   40,
-		Replicates: 3,
-		BaseSeed:   11,
-	}
-	lat, _, err := l.Run()
+	l := PaperFigure78()
+	l.Routers, l.Xs, l.Packets, l.Interval, l.Replicates, l.BaseSeed = 30, []float64{10}, 20, 40, 3, 11
+	figs, err := l.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := lat.Rows[0].Points["RP"]
+	p := figs[0].Rows[0].Points["RP"]
 	if p.Losses == 0 || p.Latency <= 0 {
 		t.Fatalf("merged point degenerate: %+v", p)
 	}
 }
 
 func TestAblationSweep(t *testing.T) {
-	a := AblationSweep{
-		Routers:  30,
-		LossPcts: []float64{10},
-		Packets:  20,
-		Interval: 40,
-		BaseSeed: 13,
-	}
-	lat, bw, err := a.Run()
+	a := PaperAblation()
+	a.Routers, a.Xs, a.Packets, a.Interval, a.BaseSeed = 30, []float64{10}, 20, 40, 13
+	figs, err := a.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	lat := figs[0]
 	for _, proto := range AblationProtocols {
 		if lat.Value(lat.Rows[0].Points[proto]) <= 0 {
 			t.Fatalf("%s missing from ablation", proto)
 		}
 	}
-	_ = bw
 }
 
 func TestFigureFormatAndCSV(t *testing.T) {
-	l := LossSweep{
-		Routers:  30,
-		LossPcts: []float64{10},
-		Packets:  15,
-		Interval: 40,
-		BaseSeed: 15,
-	}
-	lat, _, err := l.Run()
+	l := PaperFigure78()
+	l.Routers, l.Xs, l.Packets, l.Interval, l.BaseSeed = 30, []float64{10}, 15, 40, 15
+	figs, err := l.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	lat := figs[0]
 	var buf bytes.Buffer
 	if err := lat.Format(&buf); err != nil {
 		t.Fatal(err)
@@ -184,11 +161,11 @@ func TestFigureFormatAndCSV(t *testing.T) {
 
 func TestPaperDefaults(t *testing.T) {
 	g := PaperFigure56()
-	if len(g.Sizes) != 7 || g.Sizes[0] != 50 || g.Sizes[6] != 600 || g.Loss != 0.05 {
+	if len(g.Xs) != 7 || g.Xs[0] != 50 || g.Xs[6] != 600 || g.Loss != 0.05 {
 		t.Fatalf("Figure 5/6 defaults wrong: %+v", g)
 	}
 	l := PaperFigure78()
-	if l.Routers != 500 || len(l.LossPcts) != 10 {
+	if l.Routers != 500 || len(l.Xs) != 10 {
 		t.Fatalf("Figure 7/8 defaults wrong: %+v", l)
 	}
 	a := PaperAblation()
@@ -204,17 +181,13 @@ func TestHeadlineComparisonSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison run")
 	}
-	g := GroupSizeSweep{
-		Sizes:    []int{100},
-		Loss:     0.05,
-		Packets:  60,
-		Interval: 50,
-		BaseSeed: 17,
-	}
-	lat, bw, err := g.Run()
+	g := PaperFigure56()
+	g.Xs, g.Packets, g.BaseSeed = []float64{100}, 60, 17
+	figs, err := g.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	lat, bw := figs[0], figs[1]
 	row := lat.Rows[0]
 	rp := row.Points["RP"].Latency
 	srmLat := row.Points["SRM"].Latency
@@ -331,20 +304,14 @@ func TestChartRendering(t *testing.T) {
 }
 
 func TestMarkdownAndCI(t *testing.T) {
-	l := LossSweep{
-		Routers:    30,
-		LossPcts:   []float64{10},
-		Packets:    15,
-		Interval:   40,
-		Replicates: 3,
-		BaseSeed:   77,
-	}
-	lat, _, err := l.Run()
+	l := PaperFigure78()
+	l.Routers, l.Xs, l.Packets, l.Interval, l.Replicates, l.BaseSeed = 30, []float64{10}, 15, 40, 3, 77
+	figs, err := l.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := lat.Markdown(&buf); err != nil {
+	if err := figs[0].Markdown(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -357,12 +324,12 @@ func TestMarkdownAndCI(t *testing.T) {
 	}
 	// Single replicate ⇒ no CI.
 	l.Replicates = 1
-	lat1, _, err := l.Run()
+	figs, err = l.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := lat1.Markdown(&buf); err != nil {
+	if err := figs[0].Markdown(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "±") {

@@ -2,10 +2,11 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
-
-	"rmcast/internal/rng"
 )
 
 // figureBytes renders a figure through every text emitter, so "byte
@@ -23,101 +24,103 @@ func figureBytes(t *testing.T, f *Figure) []byte {
 	return buf.Bytes()
 }
 
-// TestGroupSizeSweepParallelDeterminism asserts that the worker-pool run of
-// a group-size sweep is byte-identical to the legacy serial run for the
-// same seed, across several worker counts and seeds.
-func TestGroupSizeSweepParallelDeterminism(t *testing.T) {
-	// Distinct sweep seeds derived the way parallel workers would: one
-	// SplitN fan-out from a fixed root stream.
-	seeds := rng.New(2026).SplitN(2)
-	for _, sr := range seeds {
-		seed := sr.Uint64()
-		base := GroupSizeSweep{
-			Sizes:    []int{40, 60},
-			Loss:     0.05,
-			Packets:  20,
-			Interval: 50,
-			// Two replicates so the merge path is covered too.
-			Replicates: 2,
-			BaseSeed:   seed,
-		}
-		serial := base
-		serial.Parallel = 1
-		wantLat, wantBw, err := serial.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			par := base
-			par.Parallel = workers
-			gotLat, gotBw, err := par.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotLat, wantLat) || !reflect.DeepEqual(gotBw, wantBw) {
-				t.Fatalf("seed %d: parallel=%d figures differ from serial", seed, workers)
-			}
-			if !bytes.Equal(figureBytes(t, gotLat), figureBytes(t, wantLat)) ||
-				!bytes.Equal(figureBytes(t, gotBw), figureBytes(t, wantBw)) {
-				t.Fatalf("seed %d: parallel=%d output bytes differ from serial", seed, workers)
-			}
-		}
+// reducedSweeps returns every sweep constructor's grid cut down to 40
+// routers, 15 packets, two replicates (so the replicate merge runs) and two
+// x values, plus the fault-free zero row for the robustness sweeps, with
+// the SHA-256 of its figures as figureBytes renders them. The
+// digests pin the seeds, the grid order, the merge and the figure labels of
+// every sweep at once; re-record them only for an intended output change.
+func reducedSweeps() []struct {
+	name   string
+	sweep  Sweep
+	golden string
+} {
+	reduce := func(s Sweep, xs ...float64) Sweep {
+		s.Routers, s.Xs, s.Packets, s.Replicates = 40, xs, 15, 2
+		return s
+	}
+	return []struct {
+		name   string
+		sweep  Sweep
+		golden string
+	}{
+		{"PaperFigure56", reduce(PaperFigure56(), 40, 60),
+			"2f513b63f7800024134c562f28243b8489221eb4acb18263e467d6f2166b6bfa"},
+		{"PaperFigure78", reduce(PaperFigure78(), 5, 10),
+			"51ac442bff1894a49097fc29704daa995f4a562b8e8af2f6f4e22a6e2f3d4a28"},
+		{"PaperAblation", reduce(PaperAblation(), 5, 15),
+			"bfdfe27e9fdcee52bb2d28a5d69fa23ca3fd6e6a0b3c979c2c333d4dfc28e6ed"},
+		{"DefaultChaos", reduce(DefaultChaos(), 0, 0.5, 1),
+			"589fcb77a926556f772ae2d9dfef7793c9e5a4f23d47aa99528ee5bec2a3dec9"},
+		{"DefaultAdversarial", reduce(DefaultAdversarial(), 0, 0.5, 1),
+			"3e2562b028d651e0773439d6189b041b06f2774edd5746dfb3b82961b150b09d"},
+		{"DefaultChurn", reduce(DefaultChurn(), 0, 0.5, 1),
+			"11ecdb40e5bc377c82b44ac97b7ada5dfb6ddeae715f72c281a782976d9246b6"},
 	}
 }
 
-// TestLossSweepParallelDeterminism is the same assertion for the loss
-// sweep (Figures 7/8 shape).
-func TestLossSweepParallelDeterminism(t *testing.T) {
-	base := LossSweep{
-		Routers:    60,
-		LossPcts:   []float64{5, 10},
-		Packets:    20,
-		Interval:   50,
-		Replicates: 1,
-		BaseSeed:   2003,
-	}
-	serial := base
-	serial.Parallel = 1
-	wantLat, wantBw, err := serial.Run()
+// sweepBytes runs a sweep and renders all its figures.
+func sweepBytes(t *testing.T, s Sweep) ([]*Figure, []byte) {
+	t.Helper()
+	figs, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := base
-	par.Parallel = 4
-	gotLat, gotBw, err := par.Run()
-	if err != nil {
-		t.Fatal(err)
+	var out []byte
+	for _, f := range figs {
+		out = append(out, figureBytes(t, f)...)
 	}
-	if !reflect.DeepEqual(gotLat, wantLat) || !reflect.DeepEqual(gotBw, wantBw) {
-		t.Fatal("parallel loss sweep differs from serial")
-	}
-	if !bytes.Equal(figureBytes(t, gotLat), figureBytes(t, wantLat)) ||
-		!bytes.Equal(figureBytes(t, gotBw), figureBytes(t, wantBw)) {
-		t.Fatal("parallel loss sweep output bytes differ from serial")
+	return figs, out
+}
+
+// TestSweepGolden pins the rendered figures of every sweep constructor.
+func TestSweepGolden(t *testing.T) {
+	for _, row := range reducedSweeps() {
+		t.Run(row.name, func(t *testing.T) {
+			_, out := sweepBytes(t, row.sweep)
+			if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != row.golden {
+				t.Fatalf("figure digest %s, want %s:\n%s", got, row.golden, out)
+			}
+		})
 	}
 }
 
-// TestAblationSweepParallel smoke-tests the pool through the ablation
-// wrapper (many protocols, small topology).
-func TestAblationSweepParallel(t *testing.T) {
-	a := AblationSweep{
-		Routers:  50,
-		LossPcts: []float64{5},
-		Packets:  15,
-		Interval: 50,
-		BaseSeed: 2003,
-		Parallel: 4,
+// TestSweepParallelDeterminism asserts every sweep's worker-pool run is
+// identical to its serial run, as structs and as rendered bytes: cells are
+// independently seeded (fault schedules, shared mutation configs and
+// RP-FAILOVER elections included), so the schedule cannot leak into the
+// figures.
+func TestSweepParallelDeterminism(t *testing.T) {
+	for _, row := range reducedSweeps() {
+		t.Run(row.name, func(t *testing.T) {
+			serial := row.sweep
+			serial.Parallel = 1
+			want, wantBytes := sweepBytes(t, serial)
+			for _, workers := range []int{2, 4, 8} {
+				par := row.sweep
+				par.Parallel = workers
+				got, gotBytes := sweepBytes(t, par)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("parallel=%d: figures differ from serial", workers)
+				}
+				if !bytes.Equal(gotBytes, wantBytes) {
+					t.Fatalf("parallel=%d: output bytes differ from serial", workers)
+				}
+			}
+		})
 	}
-	lat, bw, err := a.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lat.Rows) != 1 || len(bw.Rows) != 1 {
-		t.Fatalf("ablation rows = %d/%d, want 1/1", len(lat.Rows), len(bw.Rows))
-	}
-	for _, proto := range AblationProtocols {
-		if _, ok := lat.Rows[0].Points[proto]; !ok {
-			t.Fatalf("missing ablation point for %s", proto)
+}
+
+// TestSweepNamesFailingCell asserts a failing grid names its lowest failing
+// cell by row label, protocol and replicate at any worker count.
+func TestSweepNamesFailingCell(t *testing.T) {
+	s := PaperFigure78()
+	s.Routers, s.Xs, s.Packets, s.Replicates = 40, []float64{5, 10}, 5, 2
+	s.Protocols = []string{"RP", "NO-SUCH"}
+	for _, workers := range []int{1, 4} {
+		s.Parallel = workers
+		if _, err := s.Run(); err == nil || !strings.HasPrefix(err.Error(), "p=5% NO-SUCH rep 0: ") {
+			t.Fatalf("parallel=%d: error %v, want the p=5%% NO-SUCH rep 0 cell", workers, err)
 		}
 	}
 }

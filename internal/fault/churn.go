@@ -6,7 +6,7 @@ import (
 )
 
 // ChurnParams drives the mobility-style churn generator used by the churn
-// sweep (experiment.ChurnSweep): instead of the chaos generator's uniform
+// sweep (experiment.DefaultChurn): instead of the chaos generator's uniform
 // crash lottery, churn aims its crash waves at the *coordinator succession
 // line* — the ranked election order of core.ElectionOrder — so a failover-
 // capable protocol is forced through repeated RP re-elections, the scenario

@@ -60,24 +60,6 @@ func TestAckImplosionVisibleInRequestHops(t *testing.T) {
 	}
 }
 
-func TestRandomLossFullRecovery(t *testing.T) {
-	for _, p := range []float64{0.05, 0.2} {
-		topo, err := topology.Standard(40, p, 71)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(DefaultOptions())
-		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 40, Interval: 40}, 73)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := s.Run()
-		if !res.Complete || res.Stats.Losses == 0 || res.Stats.Unrecovered != 0 {
-			t.Fatalf("p=%v: %+v complete=%v", p, res.Stats, res.Complete)
-		}
-	}
-}
-
 func TestLostAckTriggersRedundantRetransmission(t *testing.T) {
 	// With lossy control, a lost ACK makes the source retransmit to a
 	// client that already has the packet — a duplicate delivery.

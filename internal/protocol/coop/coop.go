@@ -33,9 +33,7 @@
 package coop
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
 
 	"rmcast/internal/core"
 	"rmcast/internal/graph"
@@ -103,6 +101,8 @@ type bkey struct {
 	c graph.NodeID
 	b int
 }
+
+func (k bkey) hostSeq() (graph.NodeID, int) { return k.c, k.b }
 
 // blockRec is one client's in-flight recovery of one block.
 type blockRec struct {
@@ -464,7 +464,7 @@ func (e *Engine) sendSymbol(from, to graph.NodeID, b, index, lo int) {
 // OnCrash implements protocol.FaultAware: park the crashed client's block
 // recoveries so a permanent crash cannot re-arm timers forever.
 func (e *Engine) OnCrash(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
+	for _, k := range protocol.HostKeys(e.recs, h, bkey.hostSeq) {
 		rec := e.recs[k]
 		if rec.timer.Valid() {
 			rec.timer.Stop()
@@ -478,7 +478,7 @@ func (e *Engine) OnCrash(h graph.NodeID) {
 // block recoveries in block order (deterministic — sends draw from the
 // shared rng streams).
 func (e *Engine) OnRecover(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
+	for _, k := range protocol.HostKeys(e.recs, h, bkey.hostSeq) {
 		rec := e.recs[k]
 		if !rec.parked {
 			continue
@@ -488,18 +488,6 @@ func (e *Engine) OnRecover(h graph.NodeID) {
 			e.solicitRound(k.c, k.b, rec)
 		}
 	}
-}
-
-// keysFor returns h's open block keys in block order.
-func (e *Engine) keysFor(h graph.NodeID) []bkey {
-	var ks []bkey
-	for k := range e.recs {
-		if k.c == h {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, func(a, b bkey) int { return cmp.Compare(a.b, b.b) })
-	return ks
 }
 
 // PendingRecoveries reports in-flight block recoveries (testing).

@@ -83,35 +83,6 @@ func TestBurstBeyondRUsesSourceAsLastResort(t *testing.T) {
 	_ = c
 }
 
-// TestRandomLossFullRecovery drives COOP through the standard random-loss
-// regimes every other engine faces.
-func TestRandomLossFullRecovery(t *testing.T) {
-	for _, p := range []float64{0.05, 0.2} {
-		topo, err := topology.Standard(50, p, 41)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(DefaultOptions())
-		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 64, Interval: 20}, 43)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := s.Run()
-		if !res.Complete || res.Stats.Losses == 0 {
-			t.Fatalf("p=%v: degenerate run %+v", p, res.Stats)
-		}
-		if res.Stats.Unrecovered != 0 {
-			t.Fatalf("p=%v: %d unrecovered", p, res.Stats.Unrecovered)
-		}
-		if e.PendingRecoveries() != 0 {
-			t.Fatalf("p=%v: dangling block recoveries", p)
-		}
-		if len(res.Violations) > 0 {
-			t.Fatalf("p=%v: oracle violations: %v", p, res.Violations)
-		}
-	}
-}
-
 // coopRun executes one 50-router run with the given fault schedule.
 func coopRun(t *testing.T, sched *fault.Schedule) *protocol.Result {
 	t.Helper()

@@ -19,9 +19,7 @@
 package fec
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"rmcast/internal/graph"
 	"rmcast/internal/protocol"
@@ -63,6 +61,8 @@ type key struct {
 	c graph.NodeID
 	n int // block or seq, per map
 }
+
+func (k key) hostSeq() (graph.NodeID, int) { return k.c, k.n }
 
 // parity is the payload of a parity packet; Block identifies the group.
 type parity struct {
@@ -249,7 +249,7 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 // fallback timers and park the keys, so a permanent crash cannot keep the
 // event loop alive with retries that can never be answered.
 func (e *Engine) OnCrash(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
+	for _, k := range protocol.HostKeys(e.pending, h, key.hostSeq) {
 		if t := e.pending[k]; t.Valid() {
 			t.Stop()
 			e.pending[k] = sim.Timer{}
@@ -262,7 +262,7 @@ func (e *Engine) OnCrash(h graph.NodeID) {
 // sequence order (deterministic), decoding first where parity already
 // suffices.
 func (e *Engine) OnRecover(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
+	for _, k := range protocol.HostKeys(e.pending, h, key.hostSeq) {
 		if !e.parked[k] {
 			continue
 		}
@@ -272,18 +272,6 @@ func (e *Engine) OnRecover(h graph.NodeID) {
 			e.fallback(k.c, k.n)
 		}
 	}
-}
-
-// keysFor returns h's pending fallback keys in sequence order.
-func (e *Engine) keysFor(h graph.NodeID) []key {
-	var ks []key
-	for k := range e.pending {
-		if k.c == h {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, func(a, b key) int { return cmp.Compare(a.n, b.n) })
-	return ks
 }
 
 // PendingRecoveries reports outstanding fallback timers (testing).

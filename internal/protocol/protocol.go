@@ -19,9 +19,11 @@
 package protocol
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"rmcast/internal/check"
 	"rmcast/internal/fault"
@@ -70,6 +72,26 @@ type Coordinator interface {
 type FaultAware interface {
 	OnCrash(host graph.NodeID)
 	OnRecover(host graph.NodeID)
+}
+
+// HostKeys returns the keys of m that belong to host, in ascending sequence
+// order; hostSeq splits a key into its host and sequence (or block) number.
+// FaultAware engines resume a rebooted host's pending recoveries in this
+// order: each resumed send draws from the shared rng streams, so the order
+// must not follow map iteration.
+func HostKeys[K comparable, V any](m map[K]V, host graph.NodeID, hostSeq func(K) (graph.NodeID, int)) []K {
+	var ks []K
+	for k := range m {
+		if h, _ := hostSeq(k); h == host {
+			ks = append(ks, k)
+		}
+	}
+	slices.SortFunc(ks, func(a, b K) int {
+		_, sa := hostSeq(a)
+		_, sb := hostSeq(b)
+		return cmp.Compare(sa, sb)
+	})
+	return ks
 }
 
 // DetectionMode selects how clients learn that a packet is missing.

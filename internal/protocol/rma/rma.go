@@ -18,9 +18,6 @@
 package rma
 
 import (
-	"cmp"
-	"slices"
-
 	"rmcast/internal/core"
 	"rmcast/internal/graph"
 	"rmcast/internal/protocol"
@@ -84,6 +81,8 @@ type key struct {
 	c   graph.NodeID
 	seq int
 }
+
+func (k key) hostSeq() (graph.NodeID, int) { return k.c, k.seq }
 
 type attempt struct {
 	idx int // position in the chain; len(chain) means "at source"
@@ -313,7 +312,7 @@ func (e *Engine) PendingRecoveries() int { return len(e.pending) }
 // OnCrash implements protocol.FaultAware: park the crashed client's walks so
 // a permanent crash cannot re-arm timers forever.
 func (e *Engine) OnCrash(h graph.NodeID) {
-	for _, k := range e.pendingKeysFor(h) {
+	for _, k := range protocol.HostKeys(e.pending, h, key.hostSeq) {
 		a := e.pending[k]
 		a.timer.Stop()
 		a.parked = true
@@ -323,26 +322,13 @@ func (e *Engine) OnCrash(h graph.NodeID) {
 // OnRecover implements protocol.FaultAware: resume the client's parked walks
 // where they left off.
 func (e *Engine) OnRecover(h graph.NodeID) {
-	for _, k := range e.pendingKeysFor(h) {
+	for _, k := range protocol.HostKeys(e.pending, h, key.hostSeq) {
 		a := e.pending[k]
 		if a.parked {
 			a.parked = false
 			e.send(k.c, k.seq, a)
 		}
 	}
-}
-
-// pendingKeysFor returns h's walk keys in sequence order (resumption sends
-// draw from the shared rng streams, so order must be deterministic).
-func (e *Engine) pendingKeysFor(h graph.NodeID) []key {
-	var ks []key
-	for k := range e.pending {
-		if k.c == h {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, func(a, b key) int { return cmp.Compare(a.seq, b.seq) })
-	return ks
 }
 
 // DedupCaches implements protocol.DedupAudited.

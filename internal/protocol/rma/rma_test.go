@@ -113,62 +113,6 @@ func TestSourceFallbackRepairsSubtree(t *testing.T) {
 	}
 }
 
-func TestRandomLossFullRecovery(t *testing.T) {
-	for _, p := range []float64{0.05, 0.2} {
-		topo, err := topology.Standard(40, p, 23)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(DefaultOptions())
-		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 40, Interval: 60}, 29)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := s.Run()
-		if !res.Complete {
-			t.Fatalf("p=%v: incomplete", p)
-		}
-		if res.Stats.Losses == 0 {
-			t.Fatalf("p=%v: no losses", p)
-		}
-		if res.Stats.Unrecovered != 0 {
-			t.Fatalf("p=%v: %d unrecovered", p, res.Stats.Unrecovered)
-		}
-		if e.PendingRecoveries() != 0 {
-			t.Fatalf("p=%v: dangling walks", p)
-		}
-	}
-}
-
-func TestControlLossFullRecovery(t *testing.T) {
-	// Stochastic multi-packet run with recovery traffic itself subject to
-	// link loss: walk retries and source fallback must still recover every
-	// loss.
-	topo, err := topology.Standard(50, 0.15, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(DefaultOptions())
-	cfg := protocol.Config{Packets: 50, Interval: 50, LossyRecovery: true}
-	s, err := protocol.NewSession(topo, e, cfg, 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	if !res.Complete {
-		t.Fatal("incomplete run")
-	}
-	if res.Stats.Losses == 0 {
-		t.Fatal("no losses at p=0.15")
-	}
-	if res.Stats.Unrecovered != 0 {
-		t.Fatalf("%d unrecovered with lossy control traffic", res.Stats.Unrecovered)
-	}
-	if e.PendingRecoveries() != 0 {
-		t.Fatal("dangling walks")
-	}
-}
-
 func TestLostRequestRetries(t *testing.T) {
 	// Fully lossy access link kills both the data packet and the first
 	// walk; the retry timer must relaunch after healing.

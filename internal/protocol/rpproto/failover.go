@@ -46,6 +46,7 @@ package rpproto
 import (
 	"rmcast/internal/core"
 	"rmcast/internal/graph"
+	"rmcast/internal/protocol"
 	"rmcast/internal/sim"
 )
 
@@ -314,10 +315,10 @@ func (e *Engine) adoptEpoch(h graph.NodeID, epoch int, rp graph.NodeID) {
 
 // foRehome re-issues h's un-parked in-flight recoveries whose armed request
 // is aimed at a stale target — the requester's half of the state handover.
-// pendingKeysFor's ascending-sequence order keeps the replay deterministic.
+// protocol.HostKeys' ascending-sequence order keeps the replay deterministic.
 func (e *Engine) foRehome(h graph.NodeID) {
 	target := e.foTarget(h)
-	for _, k := range e.pendingKeysFor(h) {
+	for _, k := range protocol.HostKeys(e.pending, h, key.hostSeq) {
 		a := e.pending[k]
 		if a.parked || a.target == target {
 			continue

@@ -24,11 +24,10 @@
 package rpproto
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"rmcast/internal/graph"
+	"rmcast/internal/protocol"
 )
 
 // Resilience configures the hardening layer. The zero value disables it,
@@ -158,7 +157,7 @@ func (e *Engine) declareDead(v graph.NodeID) {
 // in-flight recoveries. Without parking a permanently crashed client would
 // re-arm its retry timers forever and the run could never quiesce.
 func (e *Engine) OnCrash(h graph.NodeID) {
-	for _, k := range e.pendingKeysFor(h) {
+	for _, k := range protocol.HostKeys(e.pending, h, key.hostSeq) {
 		a := e.pending[k]
 		a.timer.Stop()
 		a.parked = true
@@ -184,7 +183,7 @@ func (e *Engine) OnRecover(h graph.NodeID) {
 			}
 		}
 	}
-	for _, k := range e.pendingKeysFor(h) {
+	for _, k := range protocol.HostKeys(e.pending, h, key.hostSeq) {
 		a := e.pending[k]
 		if a.parked {
 			a.parked = false
@@ -195,18 +194,4 @@ func (e *Engine) OnRecover(h graph.NodeID) {
 	if e.opt.Failover.Enabled {
 		e.foOnRecover(h)
 	}
-}
-
-// pendingKeysFor returns h's pending recovery keys in sequence order —
-// resumption order must be deterministic because each send draws from the
-// shared rng streams.
-func (e *Engine) pendingKeysFor(h graph.NodeID) []key {
-	var ks []key
-	for k := range e.pending {
-		if k.c == h {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, func(a, b key) int { return cmp.Compare(a.seq, b.seq) })
-	return ks
 }

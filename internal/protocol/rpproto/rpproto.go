@@ -124,6 +124,8 @@ type key struct {
 	seq int
 }
 
+func (k key) hostSeq() (graph.NodeID, int) { return k.c, k.seq }
+
 type attempt struct {
 	idx   int // index into the peer list; len(peers) means "at source"
 	retry int // consecutive attempts at the current index (resilience)

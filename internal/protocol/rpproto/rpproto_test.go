@@ -188,33 +188,6 @@ func TestSubgroupRepairCoversSubtree(t *testing.T) {
 	}
 }
 
-func TestRandomLossFullRecovery(t *testing.T) {
-	for _, p := range []float64{0.05, 0.2} {
-		topo, err := topology.Standard(60, p, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(DefaultOptions())
-		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 80, Interval: 30}, 13)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := s.Run()
-		if !res.Complete {
-			t.Fatalf("p=%v: run incomplete", p)
-		}
-		if res.Stats.Losses == 0 {
-			t.Fatalf("p=%v: no losses", p)
-		}
-		if res.Stats.Unrecovered != 0 {
-			t.Fatalf("p=%v: %d unrecovered losses", p, res.Stats.Unrecovered)
-		}
-		if e.PendingRecoveries() != 0 {
-			t.Fatalf("p=%v: dangling recovery state", p)
-		}
-	}
-}
-
 func TestRestrictedStrategiesStillRecover(t *testing.T) {
 	topo, err := topology.Standard(40, 0.15, 3)
 	if err != nil {

@@ -8,9 +8,6 @@
 package srcrec
 
 import (
-	"cmp"
-	"slices"
-
 	"rmcast/internal/graph"
 	"rmcast/internal/protocol"
 	"rmcast/internal/sim"
@@ -49,6 +46,8 @@ type key struct {
 	c   graph.NodeID
 	seq int
 }
+
+func (k key) hostSeq() (graph.NodeID, int) { return k.c, k.seq }
 
 // request is the payload of a source-recovery request.
 type request struct {
@@ -153,7 +152,7 @@ func (e *Engine) PendingRecoveries() int { return len(e.pending) }
 // OnCrash implements protocol.FaultAware: park the crashed client's retries
 // so a permanent crash cannot re-arm timers forever.
 func (e *Engine) OnCrash(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
+	for _, k := range protocol.HostKeys(e.pending, h, key.hostSeq) {
 		if t := e.pending[k]; t.Valid() {
 			t.Stop()
 			e.pending[k] = sim.Timer{}
@@ -165,7 +164,7 @@ func (e *Engine) OnCrash(h graph.NodeID) {
 // OnRecover implements protocol.FaultAware: re-issue the client's parked
 // requests.
 func (e *Engine) OnRecover(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
+	for _, k := range protocol.HostKeys(e.pending, h, key.hostSeq) {
 		if !e.parked[k] {
 			continue
 		}
@@ -176,19 +175,6 @@ func (e *Engine) OnRecover(h graph.NodeID) {
 			delete(e.pending, k)
 		}
 	}
-}
-
-// keysFor returns h's pending keys in sequence order (deterministic
-// resumption — sends draw from the shared rng streams).
-func (e *Engine) keysFor(h graph.NodeID) []key {
-	var ks []key
-	for k := range e.pending {
-		if k.c == h {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, func(a, b key) int { return cmp.Compare(a.seq, b.seq) })
-	return ks
 }
 
 // DedupCaches implements protocol.DedupAudited.

@@ -41,22 +41,6 @@ func TestSingleLossRecoveredFromSource(t *testing.T) {
 	}
 }
 
-func TestRandomLossFullRecovery(t *testing.T) {
-	topo, err := topology.Standard(40, 0.2, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(DefaultOptions())
-	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 60, Interval: 30}, 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	if !res.Complete || res.Stats.Unrecovered != 0 || res.Stats.Losses == 0 {
-		t.Fatalf("run failed: %+v complete=%v", res.Stats, res.Complete)
-	}
-}
-
 func TestRetryAfterLostRepair(t *testing.T) {
 	topo, err := topology.Chain(1, 2, nil)
 	if err != nil {

@@ -117,56 +117,6 @@ func TestRepairSuppressionLimitsDuplicates(t *testing.T) {
 	}
 }
 
-func TestRandomLossFullRecovery(t *testing.T) {
-	for _, p := range []float64{0.05, 0.2} {
-		topo, err := topology.Standard(40, p, 17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(DefaultOptions())
-		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 40, Interval: 60}, 19)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := s.Run()
-		if !res.Complete {
-			t.Fatalf("p=%v: incomplete", p)
-		}
-		if res.Stats.Losses == 0 {
-			t.Fatalf("p=%v: no losses", p)
-		}
-		if res.Stats.Unrecovered != 0 {
-			t.Fatalf("p=%v: %d unrecovered", p, res.Stats.Unrecovered)
-		}
-	}
-}
-
-func TestControlLossFullRecovery(t *testing.T) {
-	// Stochastic multi-packet run with recovery traffic itself subject to
-	// link loss: the exponential re-request backoff must still recover
-	// every loss.
-	topo, err := topology.Standard(50, 0.15, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(DefaultOptions())
-	cfg := protocol.Config{Packets: 50, Interval: 50, LossyRecovery: true}
-	s, err := protocol.NewSession(topo, e, cfg, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	if !res.Complete {
-		t.Fatal("incomplete run")
-	}
-	if res.Stats.Losses == 0 {
-		t.Fatal("no losses at p=0.15")
-	}
-	if res.Stats.Unrecovered != 0 {
-		t.Fatalf("%d unrecovered with lossy control traffic", res.Stats.Unrecovered)
-	}
-}
-
 func TestLostRepairEventuallyRerequests(t *testing.T) {
 	// Keep the victim's access link fully lossy well past the first
 	// NACK/repair exchange; the exponential re-request must recover once

@@ -235,18 +235,26 @@ func LinkStateRouting(t *Topology, noise float64, seed uint64) (Router, *LinkSta
 }
 
 // Figure5And6 regenerates the paper's group-size sweep (latency and
-// bandwidth versus client count at 5% loss). Pass zero-value sweep fields
-// to use the paper's parameters.
+// bandwidth versus client count at 5% loss) at the paper's parameters.
 func Figure5And6() (latency, bandwidth *Figure, err error) {
-	return experiment.PaperFigure56().Run()
+	return figurePair(experiment.PaperFigure56())
 }
 
 // Figure7And8 regenerates the paper's loss sweep at n=500.
 func Figure7And8() (latency, bandwidth *Figure, err error) {
-	return experiment.PaperFigure78().Run()
+	return figurePair(experiment.PaperFigure78())
 }
 
 // Ablation regenerates the RP-variant ablation (DESIGN.md experiment E7).
 func Ablation() (latency, bandwidth *Figure, err error) {
-	return experiment.PaperAblation().Run()
+	return figurePair(experiment.PaperAblation())
+}
+
+// figurePair runs a sweep whose figures are latency then bandwidth.
+func figurePair(s experiment.Sweep) (latency, bandwidth *Figure, err error) {
+	figs, err := s.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return figs[0], figs[1], nil
 }
