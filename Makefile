@@ -107,13 +107,17 @@ cover:
 fuzz:
 	$(GO) test -fuzz FuzzEvalAny -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzCondLossProb -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzFastPathEquivalence -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzSchedule -fuzztime 30s ./internal/fault
 	$(GO) test -fuzz FuzzMutator -fuzztime 30s ./internal/experiment
+	$(GO) test -fuzz FuzzCoopDecode -fuzztime 30s ./internal/protocol/coop
+	$(GO) test -fuzz FuzzElection -fuzztime 30s ./internal/protocol/rpproto
 
 # Quick fuzz pass for CI: a few seconds per target.
 fuzz-short:
 	$(GO) test -fuzz FuzzEvalAny -fuzztime 5s ./internal/core
 	$(GO) test -fuzz FuzzCondLossProb -fuzztime 5s ./internal/core
+	$(GO) test -fuzz FuzzFastPathEquivalence -fuzztime 5s ./internal/core
 	$(GO) test -fuzz FuzzSchedule -fuzztime 5s ./internal/fault
 	$(GO) test -fuzz FuzzMutator -fuzztime 5s ./internal/experiment
 	$(GO) test -fuzz FuzzCoopDecode -fuzztime 5s ./internal/protocol/coop

@@ -275,10 +275,3 @@ func (p *Planner) StrategyFor(u graph.NodeID) *Strategy {
 	}
 	return sg.Algorithm1()
 }
-
-// All computes strategies for every client, keyed by client node. It
-// delegates to the batch path PlanAll (see planall.go), which produces
-// results identical to calling StrategyFor per client.
-func (p *Planner) All() map[graph.NodeID]*Strategy {
-	return p.PlanAll()
-}

@@ -1,32 +1,32 @@
 package core
 
-import (
-	"fmt"
+import "rmcast/internal/graph"
 
-	"rmcast/internal/graph"
-)
-
-// This file is the batch planning path: PlanAll computes every client's
-// strategy in one shared pass. Per-client, the result is identical to
-// StrategyFor — candidate classes (Lemma 4), descending-DS order (Lemma 5),
-// then Algorithm 1 or the loss-aware DP — but the pass shares all scratch
-// state across clients and, when the preconditions hold, replaces the
-// per-client peer scan with the tree-aggregated index of treeagg.go:
+// This file is the single planning pass behind PlanAll and core.Roster.
+// Per client it computes the competitive-class winners (Lemma 4), puts them
+// in descending-DS order (Lemma 5), then runs Algorithm 1 or the loss-aware
+// DP; per client the result is identical to StrategyFor. classWinners has
+// two ways to find the winners, chosen once per planner or roster:
 //
-//   - Fast path (computeFastMode != fastOff): every candidate class of u is
-//     keyed by a meet router on u's root path, and the class winner is an
-//     O(1) aggregate lookup, so one client plans in O(depth) and the whole
-//     batch in O(N·depth) instead of O(N²). The candidate list falls out
-//     already in descending-DS order (ancestors have strictly decreasing
-//     depth). The winner's RTT/Timeout fields are filled through the same
-//     route calls as the scan, so strategies match field for field; tests
-//     fuzz this equivalence across configurations and topologies.
-//   - Scan path (the fallback, and the former implementation): the
-//     competitive-class winner table is a dense epoch-stamped slice indexed
-//     by meet router, the candidate list and shortest-path buffers are
-//     reused across clients, and LCA queries hit the O(1) Euler-tour table.
+//   - Tree aggregate (computeFastMode != fastOff): every candidate class of
+//     u is keyed by a meet router on u's root path, and the class winner is
+//     an O(1) lookup in the index of treeagg.go, so one client plans in
+//     O(depth) and the whole batch in O(N·depth) instead of O(N²). The
+//     candidate list falls out already in descending-DS order (ancestors
+//     have strictly decreasing depth). Tests fuzz this against the scan
+//     across configurations and topologies.
+//   - Peer scan (every other configuration, or DisableFastPath): each
+//     active peer is tested against the winner of its class, held in a
+//     dense epoch-stamped table indexed by meet router; LCA queries hit the
+//     O(1) Euler-tour table.
 //
-// Exactness caveat: the fast path ranks by DelayFromRoot while the scan
+// Both build candidates through candidateOf, so RTT/Timeout fields match
+// field for field, and finishPlan is the one strategy-graph and solver
+// tail. The batch shares all scratch state across clients; a roster owns
+// its own scratch and always asks finishPlan for a fresh Strategy, so the
+// strategies it publishes are never written again.
+//
+// Exactness caveat: the aggregate ranks by DelayFromRoot while the scan
 // compares summed float costs. With integer (or any dyadic) link delays the
 // two are exactly equivalent; with continuous random delays a divergence
 // requires two distinct real delays to collapse to the same float sum,
@@ -37,7 +37,8 @@ import (
 // this path is what BenchmarkPlannerAll measures and what the RP engines
 // call at session construction.
 
-// planScratch holds the buffers PlanAll shares across clients.
+// planScratch holds the buffers one planner's batch (or one roster) shares
+// across clients.
 type planScratch struct {
 	// mark/classIdx form the epoch-stamped class-winner table: classIdx[r]
 	// is the index in cands of the current winner of meet router r, valid
@@ -104,14 +105,9 @@ func (p *Planner) PlanAllInto(out map[graph.NodeID]*Strategy) map[graph.NodeID]*
 		out = make(map[graph.NodeID]*Strategy, len(p.Tree.Clients))
 	}
 	p.batchState()
-	if p.mode != fastOff {
-		for _, u := range p.Tree.Clients {
-			out[u] = p.planOneTree(u, p.sc, out[u])
-		}
-		return out
-	}
 	for _, u := range p.Tree.Clients {
-		out[u] = p.planOne(u, p.sc, out[u])
+		p.classWinners(u, nil, p.agg, p.mode, p.sc)
+		out[u] = p.finishPlan(u, p.sc, out[u])
 	}
 	return out
 }
@@ -131,23 +127,18 @@ func (p *Planner) PlanAllDenseInto(out []*Strategy) []*Strategy {
 		out = make([]*Strategy, len(p.Tree.Clients))
 	}
 	p.batchState()
-	if p.mode != fastOff {
-		for i, u := range p.Tree.Clients {
-			out[i] = p.planOneTree(u, p.sc, out[i])
-		}
-		return out
-	}
 	for i, u := range p.Tree.Clients {
-		out[i] = p.planOne(u, p.sc, out[i])
+		p.classWinners(u, nil, p.agg, p.mode, p.sc)
+		out[i] = p.finishPlan(u, p.sc, out[i])
 	}
 	return out
 }
 
 // candidateOf materialises the class-winner candidate for client u at meet
-// router meet. Both planning paths build candidates through this helper, so
-// the fast path's strategies carry bit-identical RTT/Timeout fields. meet is
-// always LCA(u, v) at every call site — planOne computes it, planOneTree
-// reads it off the root path — so meetRTT may shortcut the route query.
+// router meet. Every candidate classWinners builds comes through here, so
+// both of its branches carry bit-identical RTT/Timeout fields. meet is
+// always LCA(u, v) at every call site — the scan computes it, the aggregate
+// read takes it off the root path — so meetRTT may shortcut the route query.
 func (p *Planner) candidateOf(u, meet, v graph.NodeID, pol TimeoutPolicy) Candidate {
 	rtt := p.meetRTT(u, v, meet)
 	return Candidate{
@@ -160,20 +151,57 @@ func (p *Planner) candidateOf(u, meet, v graph.NodeID, pol TimeoutPolicy) Candid
 	}
 }
 
-// planOne computes one client's strategy by scanning every peer (the
-// always-correct fallback). into, when non-nil, is updated in place.
-func (p *Planner) planOne(u graph.NodeID, sc *planScratch, into *Strategy) *Strategy {
-	if !p.Tree.Net.IsClient(u) {
-		panic(fmt.Sprintf("core: plan of non-client node %d", u))
-	}
+// beats reports whether class member cand, with expected attempt cost cc,
+// displaces the class's current winner cur, of cost pc: cheapest cost, ties
+// by lower peer ID (Lemma 4 admits one winner per class).
+func beats(cc, pc float64, cand, cur graph.NodeID) bool {
+	return cc < pc || (cc == pc && cand < cur)
+}
+
+// classWinners fills sc.cands with client u's competitive-class winners
+// among the active clients (active == nil: every client), unsorted.
+//
+// With a tree aggregate (agg != nil, built for mode) the meet routers of u
+// are exactly the nodes of its root path (u itself when peers sit below
+// it), and each winner is an O(1) lookup excluding the branch u hangs
+// under; the aggregate tracks membership, so active is not consulted.
+// Otherwise every active peer is scanned into the epoch-stamped class
+// table, each class keeping its winner under beats.
+func (p *Planner) classWinners(u graph.NodeID, active []bool, agg *treeAgg, mode fastMode, sc *planScratch) {
 	pol := p.timeout()
-	sc.epoch++
+	t := p.Tree
 	sc.cands = sc.cands[:0]
-	for _, v := range p.Tree.Clients {
-		if v == u {
+	if agg != nil {
+		// Descendant class first (meet == u): peers strictly below u. Its
+		// conditional loss probability is 1, so under constant-cost policies
+		// (fastKeyPeerSelf) the scan's tie-break degenerates to min peer ID.
+		self := &agg.byKey[u]
+		if mode == fastKeyPeerSelf {
+			self = &agg.byPeer[u]
+		}
+		if e := bestExcluding(self, aggSelf); e.peer != graph.None {
+			sc.cands = append(sc.cands, p.candidateOf(u, u, e.peer, pol))
+		}
+		// Ancestor classes, deepest first: exclude the branch leading to u.
+		for x := u; t.Parent[x] != graph.None; x = t.Parent[x] {
+			r := t.Parent[x]
+			if e := bestExcluding(&agg.byKey[r], agg.childPos[x]); e.peer != graph.None {
+				sc.cands = append(sc.cands, p.candidateOf(u, r, e.peer, pol))
+			}
+		}
+		return
+	}
+	// A wrapped epoch would match stale marks; a long-lived roster can get
+	// there, so start the table over.
+	if sc.epoch++; sc.epoch == 0 {
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+	for _, v := range t.Clients {
+		if v == u || (active != nil && !active[v]) {
 			continue
 		}
-		meet := p.Tree.LCA(u, v)
+		meet := t.LCA(u, v)
 		cand := p.candidateOf(u, meet, v, pol)
 		if sc.mark[meet] != sc.epoch {
 			sc.mark[meet] = sc.epoch
@@ -182,54 +210,18 @@ func (p *Planner) planOne(u graph.NodeID, sc *planScratch, into *Strategy) *Stra
 			continue
 		}
 		cur := &sc.cands[sc.classIdx[meet]]
-		// Same winner rule as Candidates: cheapest expected attempt cost,
-		// ties by lower peer ID (Lemma 4 admits one winner per class).
-		cc, pc := p.attemptCost(u, cand), p.attemptCost(u, *cur)
-		if cc < pc || (cc == pc && cand.Peer < cur.Peer) {
+		if beats(p.attemptCost(u, cand), p.attemptCost(u, *cur), v, cur.Peer) {
 			*cur = cand
 		}
 	}
-	return p.finishPlan(u, sc, pol, into)
 }
 
-// planOneTree computes one client's strategy from the tree aggregate: the
-// meet routers of u are exactly the nodes of u's root path (u itself when
-// peers sit below it), and each class winner is an O(1) lookup excluding
-// the branch u hangs under. Candidates emerge deepest-first, i.e. already
-// in the strictly-descending-DS order Lemma 5 requires.
-func (p *Planner) planOneTree(u graph.NodeID, sc *planScratch, into *Strategy) *Strategy {
-	if !p.Tree.Net.IsClient(u) {
-		panic(fmt.Sprintf("core: plan of non-client node %d", u))
-	}
+// finishPlan turns the class winners in sc.cands into u's strategy:
+// candidate order (sc.cands is left sorted), strategy graph, and the
+// shortest-path solver over the shared scratch. into, when non-nil, is
+// updated in place; nil allocates a fresh Strategy.
+func (p *Planner) finishPlan(u graph.NodeID, sc *planScratch, into *Strategy) *Strategy {
 	pol := p.timeout()
-	t := p.Tree
-	sc.cands = sc.cands[:0]
-	// Descendant class first (meet == u): peers strictly below u. Its
-	// conditional loss probability is 1, so under constant-cost policies
-	// (fastKeyPeerSelf) the scan's tie-break degenerates to min peer ID.
-	var e aggEntry
-	if p.mode == fastKeyPeerSelf {
-		e = bestExcluding(&p.agg.byPeer[u], aggSelf)
-	} else {
-		e = bestExcluding(&p.agg.byKey[u], aggSelf)
-	}
-	if e.peer != graph.None {
-		sc.cands = append(sc.cands, p.candidateOf(u, u, e.peer, pol))
-	}
-	// Ancestor classes, deepest first: exclude the branch leading to u.
-	for x := u; t.Parent[x] != graph.None; x = t.Parent[x] {
-		r := t.Parent[x]
-		e := bestExcluding(&p.agg.byKey[r], p.agg.childPos[x])
-		if e.peer != graph.None {
-			sc.cands = append(sc.cands, p.candidateOf(u, r, e.peer, pol))
-		}
-	}
-	return p.finishPlan(u, sc, pol, into)
-}
-
-// finishPlan runs the shared tail of both planning paths: candidate order,
-// strategy graph, and the shortest-path solver over the shared scratch.
-func (p *Planner) finishPlan(u graph.NodeID, sc *planScratch, pol TimeoutPolicy, into *Strategy) *Strategy {
 	sortCandidates(sc.cands)
 	srcRTT := p.Routes.RTT(u, p.Tree.Root)
 	sg := &StrategyGraph{

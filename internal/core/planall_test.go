@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -58,6 +59,20 @@ func TestPlanAllRepeatable(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatal("PlanAll not repeatable")
 		}
+	}
+}
+
+// TestPlanAllEpochWrap asserts the scan's class table survives its epoch
+// stamp wrapping to zero, which a long-lived roster can reach: a wrapped
+// stamp must not match marks it never wrote.
+func TestPlanAllEpochWrap(t *testing.T) {
+	ps := plannersUnderTest(t, 80, 3)
+	want := ps[0].PlanAll()
+	p := NewPlanner(ps[0].Tree, ps[0].Routes)
+	p.batchState()
+	p.sc.epoch = math.MaxUint32
+	if !reflect.DeepEqual(p.PlanAll(), want) {
+		t.Fatal("PlanAll changed across the epoch wrap")
 	}
 }
 

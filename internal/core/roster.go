@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"rmcast/internal/graph"
 )
@@ -10,8 +9,8 @@ import (
 // Roster maintains recovery strategies for a multicast group under
 // membership churn. The paper computes strategies once for a static group;
 // in a deployment, members come and go, and recomputing every client's
-// strategy graph on every change is O(k·N²). The roster tracks, per client,
-// which peer currently wins each competitive class, so that
+// strategy graph on every change replans all k members. The roster keeps,
+// per client, the peers that currently win its competitive classes, so that
 //
 //   - a LEAVING member invalidates only the clients whose lists contain it
 //     as a class winner (it can never affect anyone else: Lemma 4 admits
@@ -19,9 +18,11 @@ import (
 //   - a JOINING member invalidates only the clients for which it beats (or
 //     creates) the winner of its own class.
 //
-// Every other client's strategy is provably unchanged, which keeps churn
-// handling near O(affected·N²) instead of O(k·N²). Tests verify the
-// incremental results equal full recomputation after arbitrary churn.
+// Every other client's strategy is provably unchanged, so churn replans
+// only the affected clients. A replan is the planner's own single pass
+// (classWinners then finishPlan, see planall.go) restricted to the active
+// members. Tests verify the incremental results equal full recomputation
+// after arbitrary churn.
 type Roster struct {
 	p *Planner
 	// active is the dense membership set, indexed by NodeID (the roster's
@@ -31,9 +32,11 @@ type Roster struct {
 	activeCount int
 	// strategies holds the current plan per active client.
 	strategies map[graph.NodeID]*Strategy
-	// winners[u] maps each meet router to u's current class winner, so
-	// membership changes can be mapped to affected clients cheaply.
-	winners map[graph.NodeID]map[graph.NodeID]Candidate
+	// winners[u] lists u's current class winners in descending-DS order,
+	// empty for inactive nodes. A client's classes are keyed by distinct
+	// routers on its root path, so each meet appears at most once, and
+	// Leave/Join find the affected clients by walking node IDs in order.
+	winners [][]Candidate
 	// recomputes counts strategy recomputations (observability/testing).
 	recomputes int
 	// epoch counts successfully applied membership changes since
@@ -50,6 +53,9 @@ type Roster struct {
 	// (see computeFastMode); both paths produce identical strategies.
 	agg  *treeAgg
 	mode fastMode
+	// sc is the roster's own planning scratch, separate from the planner's
+	// batch scratch.
+	sc *planScratch
 }
 
 // NewRoster creates a roster over the planner's full client set, all
@@ -59,19 +65,20 @@ func NewRoster(p *Planner) *Roster {
 }
 
 // NewRosterActive creates a roster whose initial membership is the given
-// client subset. NewRosterActive(p, p.Tree.Clients) ≡ NewRoster(p); the
-// strategy service uses the subset form as its full-replan fallback — a
-// fresh roster over the current active set is the ground truth the
-// incremental churn path must match. Construction is O(k·depth) on
-// fast-mode planners (one aggregate build plus one replan per member), not
-// O(k·depth) per *excluded* member: the aggregate is built directly from
-// the subset rather than by leaving members one at a time.
+// client subset. NewRosterActive(p, p.Tree.Clients) ≡ NewRoster(p); a
+// fresh roster over a membership is the ground truth the incremental churn
+// path must match. Construction is O(k·depth) on fast-mode planners (one
+// aggregate build plus one replan per member), not O(k·depth) per
+// *excluded* member: the aggregate is built directly from the subset
+// rather than by leaving members one at a time.
 func NewRosterActive(p *Planner, members []graph.NodeID) *Roster {
+	n := len(p.Tree.Parent)
 	r := &Roster{
 		p:          p,
-		active:     make([]bool, len(p.Tree.Parent)),
+		active:     make([]bool, n),
 		strategies: make(map[graph.NodeID]*Strategy),
-		winners:    make(map[graph.NodeID]map[graph.NodeID]Candidate),
+		winners:    make([][]Candidate, n),
+		sc:         newPlanScratch(n),
 	}
 	for _, c := range members {
 		if !p.Tree.Net.IsClient(c) {
@@ -107,90 +114,19 @@ func (r *Roster) Strategy(c graph.NodeID) *Strategy { return r.strategies[c] }
 // performed since construction (including the initial k).
 func (r *Roster) Recomputes() int { return r.recomputes }
 
-// candidatesAmong computes u's class-winner map restricted to active peers
-// — the roster-aware version of Planner.Candidates.
-func (r *Roster) candidatesAmong(u graph.NodeID) map[graph.NodeID]Candidate {
-	pol := r.p.timeout()
-	best := make(map[graph.NodeID]Candidate)
-	for _, v := range r.p.Tree.Clients {
-		if v == u || !r.active[v] {
-			continue
-		}
-		meet := r.p.Tree.LCA(u, v)
-		cand := r.p.candidateOf(u, meet, v, pol)
-		cur, ok := best[meet]
-		if !ok {
-			best[meet] = cand
-			continue
-		}
-		cc, pc := r.p.attemptCost(u, cand), r.p.attemptCost(u, cur)
-		if cc < pc || (cc == pc && cand.Peer < cur.Peer) {
-			best[meet] = cand
-		}
-	}
-	return best
-}
-
-// candidatesAgg reads u's class-winner map off its root path using the
-// membership-tracking aggregate — the O(depth) equivalent of
-// candidatesAmong (see planOneTree for the class/winner argument).
-func (r *Roster) candidatesAgg(u graph.NodeID) map[graph.NodeID]Candidate {
-	pol := r.p.timeout()
-	t := r.p.Tree
-	best := make(map[graph.NodeID]Candidate, t.Depth[u])
-	var e aggEntry
-	if r.mode == fastKeyPeerSelf {
-		e = bestExcluding(&r.agg.byPeer[u], aggSelf)
-	} else {
-		e = bestExcluding(&r.agg.byKey[u], aggSelf)
-	}
-	if e.peer != graph.None {
-		best[u] = r.p.candidateOf(u, u, e.peer, pol)
-	}
-	for x := u; t.Parent[x] != graph.None; x = t.Parent[x] {
-		anc := t.Parent[x]
-		e := bestExcluding(&r.agg.byKey[anc], r.agg.childPos[x])
-		if e.peer != graph.None {
-			best[anc] = r.p.candidateOf(u, anc, e.peer, pol)
-		}
-	}
-	return best
-}
-
-// replan recomputes one client's strategy from its roster-restricted
-// candidates and refreshes the winner index.
+// replan recomputes one client's strategy over the active members and
+// records its class winners. The Strategy is always a fresh one, so
+// strategies already handed out stay frozen.
 func (r *Roster) replan(u graph.NodeID) {
-	var best map[graph.NodeID]Candidate
-	if r.agg != nil {
-		best = r.candidatesAgg(u)
-	} else {
-		best = r.candidatesAmong(u)
-	}
-	cands := make([]Candidate, 0, len(best))
-	for _, c := range best {
-		cands = append(cands, c)
-	}
-	sortCandidates(cands)
-	srcRTT := r.p.Routes.RTT(u, r.p.Tree.Root)
-	sg := &StrategyGraph{
-		Client:            u,
-		ClientDepth:       r.p.Tree.Depth[u],
-		Candidates:        cands,
-		SourceRTT:         srcRTT,
-		SourceTimeout:     r.p.timeout().Timeout(srcRTT),
-		AllowDirectSource: r.p.AllowDirectSource,
-	}
-	if r.p.LossProb > 0 {
-		r.strategies[u] = sg.OptimalDP(1 - r.p.LossProb)
-	} else {
-		r.strategies[u] = sg.Algorithm1()
-	}
-	r.winners[u] = best
+	r.p.classWinners(u, r.active, r.agg, r.mode, r.sc)
+	r.strategies[u] = r.p.finishPlan(u, r.sc, nil)
+	r.winners[u] = append(r.winners[u][:0], r.sc.cands...)
 	r.recomputes++
 }
 
 // Leave removes a member and incrementally repairs the affected strategies.
-// It returns the clients whose strategies were recomputed.
+// It returns the clients whose strategies were recomputed, in ascending
+// node order.
 func (r *Roster) Leave(v graph.NodeID) ([]graph.NodeID, error) {
 	if !r.Active(v) {
 		return nil, fmt.Errorf("core: %d is not an active member", v)
@@ -199,7 +135,7 @@ func (r *Roster) Leave(v graph.NodeID) ([]graph.NodeID, error) {
 	r.activeCount--
 	r.epoch++
 	delete(r.strategies, v)
-	delete(r.winners, v)
+	r.winners[v] = r.winners[v][:0]
 	if r.agg != nil {
 		r.agg.setActive(v, false)
 	}
@@ -207,12 +143,11 @@ func (r *Roster) Leave(v graph.NodeID) ([]graph.NodeID, error) {
 	for u, classes := range r.winners {
 		for _, w := range classes {
 			if w.Peer == v {
-				affected = append(affected, u)
+				affected = append(affected, graph.NodeID(u))
 				break
 			}
 		}
 	}
-	slices.Sort(affected)
 	for _, u := range affected {
 		r.replan(u)
 	}
@@ -222,12 +157,12 @@ func (r *Roster) Leave(v graph.NodeID) ([]graph.NodeID, error) {
 // Join (re-)activates a member and incrementally repairs the affected
 // strategies: clients for which v beats or creates its class winner, plus
 // v itself. It returns the clients whose strategies were recomputed
-// (excluding v).
+// (excluding v), in ascending node order.
 func (r *Roster) Join(v graph.NodeID) ([]graph.NodeID, error) {
 	if r.Active(v) {
 		return nil, fmt.Errorf("core: %d is already active", v)
 	}
-	if !r.p.Tree.Net.IsClient(v) {
+	if v < 0 || int(v) >= len(r.active) || !r.p.Tree.Net.IsClient(v) {
 		return nil, fmt.Errorf("core: %d is not a client of this tree", v)
 	}
 	r.active[v] = true
@@ -238,20 +173,24 @@ func (r *Roster) Join(v graph.NodeID) ([]graph.NodeID, error) {
 	}
 	pol := r.p.timeout()
 	var affected []graph.NodeID
-	for u, classes := range r.winners {
-		meet := r.p.Tree.LCA(u, v)
-		cand := r.p.candidateOf(u, meet, v, pol)
-		cur, ok := classes[meet]
-		if !ok {
-			affected = append(affected, u)
+	for i, classes := range r.winners {
+		u := graph.NodeID(i)
+		if u == v || !r.active[u] {
 			continue
 		}
-		cc, pc := r.p.attemptCost(u, cand), r.p.attemptCost(u, cur)
-		if cc < pc || (cc == pc && cand.Peer < cur.Peer) {
+		meet := r.p.Tree.LCA(u, v)
+		cand := r.p.candidateOf(u, meet, v, pol)
+		hit := true // v creates u's class at meet unless it already has a winner
+		for _, cur := range classes {
+			if cur.Meet == meet {
+				hit = beats(r.p.attemptCost(u, cand), r.p.attemptCost(u, cur), v, cur.Peer)
+				break
+			}
+		}
+		if hit {
 			affected = append(affected, u)
 		}
 	}
-	slices.Sort(affected)
 	for _, u := range affected {
 		r.replan(u)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -22,25 +23,10 @@ func rosterPlanner(t *testing.T, routers int, seed uint64) *Planner {
 	return NewPlanner(tr, route.Build(net))
 }
 
-// fullRecompute computes the ground-truth strategies over the active set.
+// fullRecompute computes the ground-truth strategies over the active set:
+// a roster built from scratch over that membership.
 func fullRecompute(p *Planner, active map[graph.NodeID]bool) map[graph.NodeID]*Strategy {
-	// Build a roster from scratch restricted to active: easiest is a fresh
-	// roster and removals, but that is what we are testing — so compute
-	// directly via a throwaway roster's internals by filtering candidates.
-	tmp := &Roster{
-		p:          p,
-		active:     make([]bool, len(p.Tree.Parent)),
-		strategies: make(map[graph.NodeID]*Strategy),
-		winners:    make(map[graph.NodeID]map[graph.NodeID]Candidate),
-	}
-	for c := range active {
-		tmp.active[c] = true
-		tmp.activeCount++
-	}
-	for c := range active {
-		tmp.replan(c)
-	}
-	return tmp.strategies
+	return NewRosterActive(p, activeList(active)).Strategies()
 }
 
 func sameStrategies(t *testing.T, got, want map[graph.NodeID]*Strategy) {
@@ -70,10 +56,30 @@ func sameStrategies(t *testing.T, got, want map[graph.NodeID]*Strategy) {
 func TestRosterInitialMatchesPlanner(t *testing.T) {
 	p := rosterPlanner(t, 60, 1)
 	r := NewRoster(p)
-	want := p.All()
+	want := p.PlanAll()
 	sameStrategies(t, r.Strategies(), want)
 	if r.Recomputes() != len(p.Tree.Clients) {
 		t.Fatalf("initial recomputes %d != k=%d", r.Recomputes(), len(p.Tree.Clients))
+	}
+}
+
+// TestRosterMatchesPlanAllDense pins the roster's construction to the
+// batch planner exactly, field for field, on aggregate and scan planners
+// under every configuration the aggregate supports plus the loss-aware one.
+func TestRosterMatchesPlanAllDense(t *testing.T) {
+	tree := treeNet(t, 120, 3)
+	chorded := topology.MustGenerate(topology.DefaultConfig(80), rng.New(12))
+	for _, v := range append(fastVariants, "aware") {
+		agg := treePlanner(t, tree, "tree")
+		scan := treePlanner(t, tree, "tree")
+		scan.DisableFastPath = true
+		chord := NewPlanner(mtree.MustBuild(chorded), route.Build(chorded))
+		for name, p := range map[string]*Planner{"aggregate": agg, "scan": scan, "chorded": chord} {
+			configure(p, v)
+			if got, want := NewRoster(p).StrategiesDense(nil), p.PlanAllDense(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: roster strategies differ from PlanAllDense", name, v)
+			}
+		}
 	}
 }
 
@@ -161,8 +167,11 @@ func TestRosterErrors(t *testing.T) {
 	if r.Strategy(c) != nil || r.Active(c) {
 		t.Fatal("left member still present")
 	}
-	if _, err := r.Join(p.Tree.Root); err == nil {
-		t.Fatal("joining the source accepted")
+	// The source and IDs outside the topology are refused, not indexed.
+	for _, v := range []graph.NodeID{p.Tree.Root, -5, 9999} {
+		if _, err := r.Join(v); err == nil {
+			t.Fatalf("joining non-client %d accepted", v)
+		}
 	}
 	if _, err := r.Join(c); err != nil {
 		t.Fatal("rejoin refused")
@@ -244,7 +253,7 @@ func TestRosterStrategiesSnapshotSafe(t *testing.T) {
 	}
 }
 
-// TestNewRosterActiveMatchesChurn pins the full-replan fallback: a roster
+// TestNewRosterActiveMatchesChurn pins the full-replan reference: a roster
 // built directly over a subset must equal a full roster driven to the same
 // membership by Leave calls.
 func TestNewRosterActiveMatchesChurn(t *testing.T) {

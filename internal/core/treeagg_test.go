@@ -218,7 +218,9 @@ func TestFastPathEquivalenceFuzz(t *testing.T) {
 }
 
 // FuzzFastPathEquivalence is the go-fuzz entry for the same property, so
-// `make fuzz` can search for divergent topologies beyond the fixed seeds.
+// `make fuzz` and `make fuzz-short` can search for divergent topologies
+// beyond the fixed seeds. It also checks that a roster over each planner
+// plans exactly what the planner's batch pass plans.
 func FuzzFastPathEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(40), uint8(4), uint8(0))
 	f.Add(uint64(9), uint16(120), uint8(1), uint8(1))
@@ -240,6 +242,11 @@ func FuzzFastPathEquivalence(f *testing.F) {
 		got, want := fast.PlanAll(), scan.PlanAll()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("fast/scan divergence (%s, %d clients)", v, n)
+		}
+		for _, p := range []*Planner{fast, scan} {
+			if !reflect.DeepEqual(NewRoster(p).StrategiesDense(nil), p.PlanAllDense()) {
+				t.Fatalf("roster/planner divergence (%s, %d clients, fast=%v)", v, n, p.UsesFastPath())
+			}
 		}
 	})
 }
@@ -311,8 +318,8 @@ func TestRosterChurnTreeAggMatchesScan(t *testing.T) {
 				t.Fatalf("%s step %d: incremental aggregate != full rebuild", variant, step)
 			}
 			// Incrementally-churned roster == roster rebuilt from scratch
-			// over the current membership (the strategy service's
-			// full-replan fallback), compared in the dense snapshot layout.
+			// over the current membership (the strategy service tests'
+			// reference), compared in the dense snapshot layout.
 			var members []graph.NodeID
 			for _, c := range tree.Clients {
 				if r.Active(c) {

@@ -144,3 +144,95 @@ func TestDuplicateRepairIdempotent(t *testing.T) {
 		})
 	}
 }
+
+// crashEngines are the recovery engines the crash tables run, each built
+// with its default options.
+var crashEngines = []struct {
+	name   string
+	engine func() protocol.Engine
+}{
+	{"ACK", func() protocol.Engine { return ack.New(ack.DefaultOptions()) }},
+	{"COOP", func() protocol.Engine { return coop.New(coop.DefaultOptions()) }},
+	{"FEC", func() protocol.Engine { return fec.New(fec.DefaultOptions()) }},
+	{"RMA", func() protocol.Engine { return rma.New(rma.DefaultOptions()) }},
+	{"RP", func() protocol.Engine { return rpproto.New(rpproto.DefaultOptions()) }},
+	{"RP-RESILIENT", func() protocol.Engine {
+		opt := rpproto.DefaultOptions()
+		opt.Resilience = rpproto.DefaultResilience()
+		return rpproto.New(opt)
+	}},
+	{"SRC", func() protocol.Engine { return srcrec.New(srcrec.DefaultOptions()) }},
+	{"SRM", func() protocol.Engine { return srm.New(srm.DefaultOptions()) }},
+}
+
+// crashRun runs one engine over the crash tables' fixed lossy backbone
+// with the given crash schedule.
+func crashRun(t *testing.T, e protocol.Engine, sched func(topo *topology.Network) *fault.Schedule) *protocol.Result {
+	t.Helper()
+	topo, err := topology.Standard(50, 0.1, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := protocol.Config{Packets: 48, Interval: 20, Fault: sched(topo)}
+	s, err := protocol.NewSession(topo, e, cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.Run()
+	if !res.Complete {
+		t.Fatalf("run hit the event cap: %d events", res.Events)
+	}
+	if len(res.Violations) > 0 {
+		t.Fatalf("oracle violations: %v", res.Violations)
+	}
+	return res
+}
+
+// TestCrashParkAndResume: clients that crash mid-recovery must park their
+// recovery work and resume it deterministically on recovery, finishing the
+// stream with no recovery state left behind.
+func TestCrashParkAndResume(t *testing.T) {
+	type pendingRecoveries interface{ PendingRecoveries() int }
+	type pendingRequests interface{ PendingRequests() int }
+	for _, row := range crashEngines {
+		t.Run(row.name, func(t *testing.T) {
+			e := row.engine()
+			res := crashRun(t, e, func(topo *topology.Network) *fault.Schedule {
+				sched := &fault.Schedule{}
+				sched.CrashWindow(topo.Clients[0], 100, 500)
+				sched.CrashWindow(topo.Clients[1], 200, 700)
+				return sched
+			})
+			if res.Stats.Unrecovered != 0 || res.Stats.UnrecoveredCrashed != 0 {
+				t.Fatalf("transient crashes left gaps: %+v", res.Stats)
+			}
+			if e, ok := e.(pendingRecoveries); ok && e.PendingRecoveries() != 0 {
+				t.Fatalf("%d pending recoveries left after resume", e.PendingRecoveries())
+			}
+			if e, ok := e.(pendingRequests); ok && e.PendingRequests() != 0 {
+				t.Fatalf("%d pending requests left after resume", e.PendingRequests())
+			}
+		})
+	}
+}
+
+// TestPermanentCrashDoesNotWedge: a client that crashes forever must not
+// keep the event loop alive with re-arming timers; its gaps must be
+// classified UnrecoveredCrashed, never Unrecovered.
+func TestPermanentCrashDoesNotWedge(t *testing.T) {
+	for _, row := range crashEngines {
+		t.Run(row.name, func(t *testing.T) {
+			res := crashRun(t, row.engine(), func(topo *topology.Network) *fault.Schedule {
+				sched := &fault.Schedule{}
+				sched.CrashHost(300, topo.Clients[0])
+				return sched
+			})
+			if res.Stats.Unrecovered != 0 {
+				t.Fatalf("dead client's gaps misclassified: %+v", res.Stats)
+			}
+			if res.Stats.UnrecoveredCrashed == 0 {
+				t.Fatalf("crash at t=300 mid-stream lost nothing? %+v", res.Stats)
+			}
+		})
+	}
+}

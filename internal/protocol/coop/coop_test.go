@@ -157,69 +157,6 @@ func TestCorruptedSymbolsRejected(t *testing.T) {
 	}
 }
 
-// TestCrashParkAndResume: a client that crashes mid-recovery must park its
-// block solicitations and resume them deterministically on recovery,
-// finishing the stream.
-func TestCrashParkAndResume(t *testing.T) {
-	topo, err := topology.Standard(50, 0.1, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := &fault.Schedule{}
-	sched.CrashWindow(topo.Clients[0], 100, 500)
-	sched.CrashWindow(topo.Clients[1], 200, 700)
-	cfg := protocol.Config{Packets: 48, Interval: 20, Fault: sched}
-	e := New(DefaultOptions())
-	s, err := protocol.NewSession(topo, e, cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	if !res.Complete {
-		t.Fatalf("run hit the event cap: %d events", res.Events)
-	}
-	if res.Stats.Unrecovered != 0 || res.Stats.UnrecoveredCrashed != 0 {
-		t.Fatalf("transient crashes left gaps: %+v", res.Stats)
-	}
-	if e.PendingRecoveries() != 0 {
-		t.Fatal("dangling block recoveries after resume")
-	}
-	if len(res.Violations) > 0 {
-		t.Fatalf("oracle violations: %v", res.Violations)
-	}
-}
-
-// TestPermanentCrashDoesNotWedge: a client that crashes forever must not
-// keep the event loop alive with re-arming timers; its gaps must be
-// classified UnrecoveredCrashed, never Unrecovered.
-func TestPermanentCrashDoesNotWedge(t *testing.T) {
-	topo, err := topology.Standard(50, 0.1, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := &fault.Schedule{}
-	sched.CrashHost(300, topo.Clients[0])
-	cfg := protocol.Config{Packets: 48, Interval: 20, Fault: sched}
-	e := New(DefaultOptions())
-	s, err := protocol.NewSession(topo, e, cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	if !res.Complete {
-		t.Fatalf("permanent crash wedged the run: %d events", res.Events)
-	}
-	if res.Stats.Unrecovered != 0 {
-		t.Fatalf("dead client's gaps misclassified: %+v", res.Stats)
-	}
-	if res.Stats.UnrecoveredCrashed == 0 {
-		t.Fatalf("crash at t=300 mid-stream lost nothing? %+v", res.Stats)
-	}
-	if len(res.Violations) > 0 {
-		t.Fatalf("oracle violations: %v", res.Violations)
-	}
-}
-
 // TestDeterminism: same seeds, identical results — including under faults
 // and mutation.
 func TestDeterminism(t *testing.T) {

@@ -3,7 +3,6 @@ package fec
 import (
 	"testing"
 
-	"rmcast/internal/fault"
 	"rmcast/internal/graph"
 	"rmcast/internal/mtree"
 	"rmcast/internal/protocol"
@@ -156,72 +155,6 @@ func TestTailBlockShorterThanK(t *testing.T) {
 	}
 	if res.Hops.Recovery() != 0 {
 		t.Fatalf("tail-block decode used the network: %+v", res.Hops)
-	}
-}
-
-// TestPermanentCrashMidBlockDoesNotWedge is the FaultAware regression: a
-// client that crashes mid-block with fallbacks in flight used to re-arm
-// its retry timer forever (the unicast suppressed, the timer not), keeping
-// the event loop alive to the cap. The crash must park the fallbacks and
-// classify the dead client's gaps as UnrecoveredCrashed.
-func TestPermanentCrashMidBlockDoesNotWedge(t *testing.T) {
-	topo, err := topology.Standard(50, 0.1, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := &fault.Schedule{}
-	// Crash mid-stream, inside a block, after losses have been detected.
-	sched.CrashHost(300, topo.Clients[0])
-	e := New(DefaultOptions())
-	cfg := protocol.Config{Packets: 48, Interval: 20, Fault: sched}
-	s, err := protocol.NewSession(topo, e, cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	if !res.Complete {
-		t.Fatalf("permanent crash wedged the run: %d events", res.Events)
-	}
-	if res.Stats.Unrecovered != 0 {
-		t.Fatalf("dead client's gaps misclassified: %+v", res.Stats)
-	}
-	if res.Stats.UnrecoveredCrashed == 0 {
-		t.Fatalf("crash at t=300 mid-stream lost nothing? %+v", res.Stats)
-	}
-	if len(res.Violations) > 0 {
-		t.Fatalf("oracle violations: %v", res.Violations)
-	}
-}
-
-// TestCrashAndResumeFinishesStream: a transient crash parks the client's
-// fallbacks and resumes them on recovery; the stream must still complete
-// for every client.
-func TestCrashAndResumeFinishesStream(t *testing.T) {
-	topo, err := topology.Standard(50, 0.1, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := &fault.Schedule{}
-	sched.CrashWindow(topo.Clients[0], 100, 500)
-	sched.CrashWindow(topo.Clients[1], 200, 700)
-	e := New(DefaultOptions())
-	cfg := protocol.Config{Packets: 48, Interval: 20, Fault: sched}
-	s, err := protocol.NewSession(topo, e, cfg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	if !res.Complete {
-		t.Fatalf("run hit the event cap: %d events", res.Events)
-	}
-	if res.Stats.Unrecovered != 0 || res.Stats.UnrecoveredCrashed != 0 {
-		t.Fatalf("transient crashes left gaps: %+v", res.Stats)
-	}
-	if e.PendingRecoveries() != 0 {
-		t.Fatal("dangling fallback timers after resume")
-	}
-	if len(res.Violations) > 0 {
-		t.Fatalf("oracle violations: %v", res.Violations)
 	}
 }
 

@@ -119,10 +119,12 @@ func TestChurnBatchSemantics(t *testing.T) {
 	svc.Leave(clients[0]) // already out
 	svc.Join(clients[2])  // already in
 	svc.Join(p.Tree.Root) // not a client
+	svc.Join(-5)          // outside the topology
+	svc.Join(9999)
 	svc.Flush()
 	st := svc.Stats()
-	if st.Rejected != 3 {
-		t.Fatalf("rejected %d != 3", st.Rejected)
+	if st.Rejected != 5 {
+		t.Fatalf("rejected %d != 5", st.Rejected)
 	}
 	if svc.Snapshot().Version != v {
 		t.Fatal("rejected-only batch advanced the version")
@@ -168,47 +170,53 @@ func TestSnapshotImmutableAfterPublish(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesFullReplan drives identical randomized churn
-// through the incremental service and the full-replan fallback and pins the
-// published content equal after every barrier, whatever the batch
-// boundaries were.
+// TestIncrementalMatchesFullReplan drives randomized churn through the
+// service and pins the snapshot published at every barrier equal to a
+// roster rebuilt from scratch over that snapshot's membership, whatever the
+// batch boundaries were.
 func TestIncrementalMatchesFullReplan(t *testing.T) {
 	for _, chorded := range []bool{false, true} {
-		inc := New(svcPlanner(t, 70, 4, chorded), Config{})
-		full := New(svcPlanner(t, 70, 4, chorded), Config{FullReplan: true})
-		clients := inc.Snapshot().Clients()
+		svc := New(svcPlanner(t, 70, 4, chorded), Config{})
+		// The applier owns the service's planner, so the rebuilt rosters
+		// plan on a twin built from the same seed.
+		ref := svcPlanner(t, 70, 4, chorded)
+		clients := svc.Snapshot().Clients()
 
 		rnd := rand.New(rand.NewSource(9))
 		out := map[graph.NodeID]bool{}
+		var ops uint64
 		for step := 0; step < 80; step++ {
 			v := clients[rnd.Intn(len(clients))]
 			if out[v] {
-				inc.Join(v)
-				full.Join(v)
+				svc.Join(v)
 				delete(out, v)
+				ops++
 			} else if len(clients)-len(out) > 2 {
-				inc.Leave(v)
-				full.Leave(v)
+				svc.Leave(v)
 				out[v] = true
+				ops++
 			}
 			if step%7 != 0 {
 				continue
 			}
-			inc.Flush()
-			full.Flush()
-			a, b := inc.Snapshot(), full.Snapshot()
-			if a.Epoch != b.Epoch {
-				t.Fatalf("chorded=%v step %d: epochs diverged (%d vs %d)", chorded, step, a.Epoch, b.Epoch)
+			svc.Flush()
+			snap := svc.Snapshot()
+			if snap.Epoch != ops || snap.ActiveCount() != len(clients)-len(out) {
+				t.Fatalf("chorded=%v step %d: epoch %d, %d active; want %d, %d",
+					chorded, step, snap.Epoch, snap.ActiveCount(), ops, len(clients)-len(out))
 			}
-			if !reflect.DeepEqual(a.Strategies(), b.Strategies()) {
+			var members []graph.NodeID
+			for _, c := range clients {
+				if snap.Active(c) {
+					members = append(members, c)
+				}
+			}
+			want := core.NewRosterActive(ref, members).StrategiesDense(nil)
+			if !reflect.DeepEqual(snap.Strategies(), want) {
 				t.Fatalf("chorded=%v step %d: incremental snapshot != full replan", chorded, step)
 			}
-			if a.ActiveCount() != b.ActiveCount() {
-				t.Fatalf("chorded=%v step %d: active counts diverged", chorded, step)
-			}
 		}
-		inc.Close()
-		full.Close()
+		svc.Close()
 	}
 }
 

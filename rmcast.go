@@ -19,6 +19,8 @@
 package rmcast
 
 import (
+	"fmt"
+
 	"rmcast/internal/core"
 	"rmcast/internal/experiment"
 	"rmcast/internal/graph"
@@ -158,7 +160,7 @@ func Strategies(t *Topology, opt PlannerOptions) (map[NodeID]*Strategy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.All(), nil
+	return p.PlanAll(), nil
 }
 
 // Roster maintains per-client strategies under group membership churn,
@@ -176,7 +178,11 @@ func NewRoster(t *Topology, opt PlannerOptions) (*Roster, error) {
 }
 
 // StrategyFor computes the optimal recovery strategy for a single client.
+// It returns an error when client is not a client node of t.
 func StrategyFor(t *Topology, client NodeID, opt PlannerOptions) (*Strategy, error) {
+	if client < 0 || int(client) >= t.NumNodes() || !t.IsClient(client) {
+		return nil, fmt.Errorf("rmcast: node %d is not a client", client)
+	}
 	p, err := newPlanner(t, opt)
 	if err != nil {
 		return nil, err

@@ -34,6 +34,41 @@ func TestPublicTopologyAndStrategies(t *testing.T) {
 	}
 }
 
+// TestStrategyForRejectsNonClients: the source, a router and IDs outside
+// the topology are errors, not panics.
+func TestStrategyForRejectsNonClients(t *testing.T) {
+	topo, err := Star(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := NodeID(-1)
+	for id := 0; id < topo.NumNodes(); id++ {
+		if n := NodeID(id); n != topo.Source && !topo.IsClient(n) {
+			router = n
+			break
+		}
+	}
+	if router < 0 {
+		t.Fatal("star has no router")
+	}
+	for _, tc := range []struct {
+		name string
+		node NodeID
+	}{
+		{"source", topo.Source},
+		{"router", router},
+		{"past the end", 9999},
+		{"negative", -5},
+	} {
+		if st, err := StrategyFor(topo, tc.node, DefaultPlannerOptions()); err == nil {
+			t.Errorf("%s (node %d): got strategy %v, want an error", tc.name, tc.node, st)
+		}
+	}
+	if _, err := StrategyFor(topo, topo.Clients[0], DefaultPlannerOptions()); err != nil {
+		t.Fatalf("client refused: %v", err)
+	}
+}
+
 func TestPublicSimulateAllProtocols(t *testing.T) {
 	topo, err := NewTopology(DefaultTopologyConfig(40), 2)
 	if err != nil {
