@@ -112,6 +112,7 @@ fuzz:
 	$(GO) test -fuzz FuzzMutator -fuzztime 30s ./internal/experiment
 	$(GO) test -fuzz FuzzCoopDecode -fuzztime 30s ./internal/protocol/coop
 	$(GO) test -fuzz FuzzElection -fuzztime 30s ./internal/protocol/rpproto
+	$(GO) test -fuzz FuzzDedupCache -fuzztime 30s ./internal/protocol
 
 # Quick fuzz pass for CI: a few seconds per target.
 fuzz-short:
@@ -122,6 +123,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzMutator -fuzztime 5s ./internal/experiment
 	$(GO) test -fuzz FuzzCoopDecode -fuzztime 5s ./internal/protocol/coop
 	$(GO) test -fuzz FuzzElection -fuzztime 5s ./internal/protocol/rpproto
+	$(GO) test -fuzz FuzzDedupCache -fuzztime 5s ./internal/protocol
 
 # Long-haul adversarial soak: the full default mutation sweep at production
 # scale plus max-intensity mutation layered over mid-severity chaos, strict

@@ -90,3 +90,34 @@ func goldenRun(t *testing.T, proto string, queued bool) *protocol.Result {
 	}
 	return res
 }
+
+// TestGoldenPurgeCell pins an SRM cell in which the engine purges stopped
+// suppression timers from its calendar (package sim) and the last event of
+// the run is one of them. The digest was captured before the purge existed,
+// so it also pins the purge's accounting: Events counts each purged timer
+// and SimTime ends on the latest purged instant, as if every stopped timer
+// had stayed queued and popped as a no-op.
+func TestGoldenPurgeCell(t *testing.T) {
+	topo, err := topology.Standard(100, 0.1, 2053)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine("SRM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := protocol.NewSession(topo, eng, protocol.Config{Packets: 40, Interval: 50}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.Run()
+	if got, want := digestResult(res), "a15c333935bc19ff"; got != want {
+		t.Errorf("digest %s, want %s (the stopped-timer purge changed a run's outcome)", got, want)
+	}
+	// The clock stops at the last event that ran; a later SimTime can only
+	// come from a purged timer.
+	if s.Eng.Now() >= res.SimTime {
+		t.Errorf("the run ended on a live event (clock %v, SimTime %v) — the cell no longer exercises the purge",
+			s.Eng.Now(), res.SimTime)
+	}
+}

@@ -48,6 +48,16 @@ type Engine struct {
 	maxRTT float64
 }
 
+// Event opcodes (sim.Callee).
+const (
+	// opCheck acknowledges (client a, seq b) if the client holds it.
+	opCheck = iota
+	// opRound runs retransmission round b of seq a.
+	opRound
+	// opAck acknowledges (client a, seq b).
+	opAck
+)
+
 // ackPayload is a client's positive acknowledgement.
 type ackPayload struct {
 	Client graph.NodeID
@@ -84,19 +94,26 @@ func (e *Engine) Attach(s *protocol.Session) {
 		// (plus AckDelay) and acknowledges if it holds the packet; later
 		// retransmissions are acknowledged from OnPacket.
 		for _, c := range s.Clients() {
-			c, seq := c, seq
 			at := sendAt + s.Net.WouldArrive(c) + e.opt.AckDelay + 2e-3
-			s.Eng.Schedule(at, func() {
-				if e.s.Has(c, seq) {
-					e.sendAck(c, seq)
-				}
-			})
+			s.Eng.ScheduleCall(at, e, opCheck, int(c), seq)
 		}
 		// Source retransmission rounds.
-		seq := seq
-		s.Eng.Schedule(sendAt+e.opt.TimeoutFactor*e.maxRTT, func() {
-			e.round(seq, 1)
-		})
+		s.Eng.ScheduleCall(sendAt+e.opt.TimeoutFactor*e.maxRTT, e, opRound, seq, 1)
+	}
+}
+
+// OnSimEvent implements sim.Callee: ACK checks, ACK sends and
+// retransmission rounds.
+func (e *Engine) OnSimEvent(op, a, b int) {
+	switch op {
+	case opCheck:
+		if e.s.Has(graph.NodeID(a), b) {
+			e.sendAck(graph.NodeID(a), b)
+		}
+	case opRound:
+		e.round(a, b)
+	case opAck:
+		e.sendAck(graph.NodeID(a), b)
 	}
 }
 
@@ -125,7 +142,7 @@ func (e *Engine) round(seq, n int) {
 		return
 	}
 	backoff := e.opt.TimeoutFactor * e.maxRTT * float64(int64(1)<<uint(min(n, 20)))
-	e.s.Eng.After(backoff, func() { e.round(seq, n+1) })
+	e.s.Eng.ScheduleCall(e.s.Eng.Now()+backoff, e, opRound, seq, n+1)
 }
 
 // OnDetect implements protocol.Engine. Sender-initiated recovery has no
@@ -143,7 +160,7 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 		// A retransmission landed: acknowledge it (the session has
 		// already recorded the recovery).
 		if e.s.IsClient(host) && e.s.Has(host, pkt.Seq) && !e.acked[pkt.Seq][host] {
-			e.s.Eng.After(e.opt.AckDelay, func() { e.sendAck(host, pkt.Seq) })
+			e.s.Eng.ScheduleCall(e.s.Eng.Now()+e.opt.AckDelay, e, opAck, int(host), pkt.Seq)
 		}
 	}
 }
@@ -155,4 +172,7 @@ func min(a, b int) int {
 	return b
 }
 
-var _ protocol.Engine = (*Engine)(nil)
+var (
+	_ protocol.Engine = (*Engine)(nil)
+	_ sim.Callee      = (*Engine)(nil)
+)

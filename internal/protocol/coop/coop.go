@@ -95,6 +95,25 @@ type Engine struct {
 	// the bounded last resort, zero whenever ranked peers can cover the
 	// block (asserted by the burst-envelope test).
 	sourceFallbacks int64
+	// held parks solicitations a relay holds until the block streams past.
+	held sim.Arena[heldSolicit]
+}
+
+// Event opcodes (sim.Callee).
+const (
+	// opHold and opRound are a block recovery's timers, with (client,
+	// block): the hold while the block still streams, and the round's
+	// retry.
+	opHold = iota
+	opRound
+	// opRespond re-decides the held solicitation parked in slot a.
+	opRespond
+)
+
+// heldSolicit is a solicitation held at relay host.
+type heldSolicit struct {
+	host graph.NodeID
+	sol  solicit
 }
 
 type bkey struct {
@@ -235,19 +254,13 @@ func (e *Engine) solicitRound(c graph.NodeID, b int, rec *blockRec) {
 		return
 	}
 	lo, hi := e.s.BlockBounds(b)
-	k := bkey{c, b}
 	if eta := e.s.ExpectedArrival(c, hi-1); eta > e.s.Eng.Now() {
 		// The block is still streaming: a solicitation now would ask
 		// relays — and the oracle — to repair data the source has not
 		// even sent yet, and would carry a stale Have mask. Hold until
 		// the block has streamed past, then re-decide (the surviving
 		// tail may have closed the gap or raised the rank already).
-		rec.timer = e.s.Eng.NewTimer(eta-e.s.Eng.Now()+holdEps, func() {
-			if e.recs[k] != rec || rec.parked {
-				return
-			}
-			e.solicitRound(c, b, rec)
-		})
+		rec.timer = e.s.Eng.NewTimerCall(eta-e.s.Eng.Now()+holdEps, e, opHold, int(c), b)
 		return
 	}
 	var have uint64
@@ -299,16 +312,29 @@ func (e *Engine) solicitRound(c graph.NodeID, b int, rec *blockRec) {
 	// deeper in the tree may still be expecting it (and holds the
 	// solicitation until then) — the RetryFactor'd round trip plus slack
 	// covers that skew.
-	rec.timer = e.s.Eng.NewTimer(maxTO+e.opt.Slack, func() {
-		if e.recs[k] != rec || rec.parked {
-			return
-		}
+	rec.timer = e.s.Eng.NewTimerCall(maxTO+e.opt.Slack, e, opRound, int(c), b)
+}
+
+// OnSimEvent implements sim.Callee: block recovery timers and held
+// solicitations. Only a recovery's current timer acts.
+func (e *Engine) OnSimEvent(op, a, b int) {
+	if op == opRespond {
+		h := e.held.Take(int32(a))
+		e.respond(h.host, h.sol)
+		return
+	}
+	c := graph.NodeID(a)
+	rec := e.recs[bkey{c, b}]
+	if rec == nil || rec.parked || !rec.timer.Fired() {
+		return
+	}
+	if op == opRound {
 		if e.tryFinish(c, b, rec) {
 			return
 		}
 		rec.round++
-		e.solicitRound(c, b, rec)
-	})
+	}
+	e.solicitRound(c, b, rec)
 }
 
 // tryFinish closes the block's recovery if it is complete — decoding first
@@ -391,7 +417,8 @@ func (e *Engine) respond(host graph.NodeID, sol solicit) {
 		}
 		if !full {
 			if eta := e.s.ExpectedArrival(host, hi-1); eta > e.s.Eng.Now() {
-				e.s.Eng.Schedule(eta+holdEps, func() { e.respond(host, sol) })
+				slot := e.held.Put(heldSolicit{host: host, sol: sol})
+				e.s.Eng.ScheduleCall(eta+holdEps, e, opRespond, int(slot), 0)
 				return
 			}
 			// Partial holder: systematic relay of what the requester
@@ -507,4 +534,5 @@ var (
 	_ protocol.FaultAware   = (*Engine)(nil)
 	_ protocol.DedupAudited = (*Engine)(nil)
 	_ protocol.ShardCloner  = (*Engine)(nil)
+	_ sim.Callee            = (*Engine)(nil)
 )

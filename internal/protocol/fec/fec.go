@@ -57,6 +57,14 @@ type Engine struct {
 	parked map[key]bool
 }
 
+// Event opcodes (sim.Callee).
+const (
+	// opParity multicasts parity symbol b of block a.
+	opParity = iota
+	// opFallback is the fallback timer of (client a, seq b).
+	opFallback
+)
+
 type key struct {
 	c graph.NodeID
 	n int // block or seq, per map
@@ -104,7 +112,6 @@ func (e *Engine) Name() string { return fmt.Sprintf("FEC(%d,%d)", e.opt.K, e.opt
 func (e *Engine) Attach(s *protocol.Session) {
 	e.s = s
 	cfg := s.Config()
-	src := s.Topo.Source
 	blocks := (cfg.Packets + e.opt.K - 1) / e.opt.K
 	for b := 0; b < blocks; b++ {
 		lastSeq := (b+1)*e.opt.K - 1
@@ -112,16 +119,22 @@ func (e *Engine) Attach(s *protocol.Session) {
 			lastSeq = cfg.Packets - 1
 		}
 		at := float64(lastSeq)*cfg.Interval + 1e-3
-		b := b
 		for i := 0; i < e.opt.R; i++ {
-			i := i
-			s.Eng.Schedule(at, func() {
-				s.Net.MulticastFromSource(sim.Packet{
-					Kind: sim.Data, Seq: -(b + 1), From: src,
-					Payload: parity{Block: b, Index: i},
-				})
-			})
+			s.Eng.ScheduleCall(at, e, opParity, b, i)
 		}
+	}
+}
+
+// OnSimEvent implements sim.Callee: parity sends and fallback timers.
+func (e *Engine) OnSimEvent(op, a, b int) {
+	switch op {
+	case opParity:
+		e.s.Net.MulticastFromSource(sim.Packet{
+			Kind: sim.Data, Seq: -(a + 1), From: e.s.Topo.Source,
+			Payload: parity{Block: a, Index: b},
+		})
+	case opFallback:
+		e.fallback(graph.NodeID(a), b)
 	}
 }
 
@@ -195,7 +208,7 @@ func (e *Engine) OnDetect(c graph.NodeID, seq int) {
 		wait = 0
 	}
 	k := key{c, seq}
-	e.pending[k] = e.s.Eng.NewTimer(wait+1e-3, func() { e.fallback(c, seq) })
+	e.pending[k] = e.s.Eng.NewTimerCall(wait+1e-3, e, opFallback, int(c), seq)
 }
 
 // fallback asks the source directly (and keeps retrying).
@@ -220,7 +233,7 @@ func (e *Engine) fallback(c graph.NodeID, seq int) {
 		Kind: sim.Request, Seq: seq, From: c, Payload: request{Requester: c},
 	})
 	retry := e.opt.RetryFactor * e.s.Routes.RTT(c, e.s.Topo.Source)
-	e.pending[k] = e.s.Eng.NewTimer(retry, func() { e.fallback(c, seq) })
+	e.pending[k] = e.s.Eng.NewTimerCall(retry, e, opFallback, int(c), seq)
 }
 
 // OnPacket implements protocol.Engine.
@@ -280,4 +293,5 @@ func (e *Engine) PendingRecoveries() int { return len(e.pending) }
 var (
 	_ protocol.Engine     = (*Engine)(nil)
 	_ protocol.FaultAware = (*Engine)(nil)
+	_ sim.Callee          = (*Engine)(nil)
 )

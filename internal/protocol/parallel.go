@@ -293,7 +293,7 @@ func (s *Session) runSharded(maxEvents uint64) *Result {
 		if sh.sub.Eng.Pending() > 0 || len(sh.sub.Net.Outbox()) > 0 {
 			complete = false
 		}
-		if t := sh.sub.Eng.Now(); t > endTime {
+		if t := sh.sub.Eng.EndTime(); t > endTime {
 			endTime = t
 		}
 	}

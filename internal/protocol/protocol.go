@@ -357,8 +357,12 @@ type Result struct {
 	Stats    Stats
 	Hops     sim.HopCount
 	Drops    sim.HopCount
-	Events   uint64
-	SimTime  float64
+	// Events counts the events the run processed, and SimTime is the
+	// instant it ended. A stopped timer counts as one event and its instant
+	// bounds SimTime, as if it had stayed queued and popped as a no-op —
+	// although the engine purges stopped timers early (see package sim).
+	Events  uint64
+	SimTime float64
 	// LatencyHist is the per-recovery latency distribution (ms).
 	LatencyHist *metrics.Histogram
 	// PerClientLatency maps each client to its recovery-latency summary
@@ -1099,7 +1103,7 @@ func (s *Session) Run() *Result {
 	}
 	s.scheduleProgram(true)
 	executed := s.Eng.Run(maxEvents)
-	return s.finish([]Engine{s.engine}, executed, s.Eng.Now(), s.Eng.Pending() == 0)
+	return s.finish([]Engine{s.engine}, executed, s.Eng.EndTime(), s.Eng.Pending() == 0)
 }
 
 // scheduleProgram schedules the run's fixed program on the session's engine:

@@ -66,6 +66,23 @@ type Engine struct {
 	// within half the requester's retry timeout is a message-plane
 	// duplicate, not a walk advance, and is dropped unanswered.
 	served *protocol.DedupCache
+	// held parks requests waiting for the packet's own arrival.
+	held sim.Arena[heldRequest]
+}
+
+// Event opcodes (sim.Callee).
+const (
+	// opExpire is the walk timer, with (client, seq).
+	opExpire = iota
+	// opHeld re-decides the held request parked in slot a.
+	opHeld
+)
+
+// heldRequest is a request held at host until seq should have arrived.
+type heldRequest struct {
+	host graph.NodeID
+	seq  int
+	pay  request
 }
 
 // dedupCacheSize bounds the served-request dedup cache (see
@@ -197,14 +214,28 @@ func (e *Engine) send(c graph.NodeID, seq int, a *attempt) {
 		Kind: sim.Request, Seq: seq, From: c,
 		Payload: request{Requester: c, MinDS: minDS},
 	})
-	a.timer = e.s.Eng.NewTimer(t0, func() { e.expire(c, seq, a) })
+	a.timer = e.s.Eng.NewTimerCall(t0, e, opExpire, int(c), seq)
+}
+
+// OnSimEvent implements sim.Callee: walk timers and held requests.
+func (e *Engine) OnSimEvent(op, a, b int) {
+	switch op {
+	case opExpire:
+		e.expire(graph.NodeID(a), b)
+	case opHeld:
+		h := e.held.Take(int32(a))
+		if e.s.Has(h.host, h.seq) {
+			e.repair(h.host, h.seq, h.pay)
+		}
+	}
 }
 
 // expire advances to the next upstream receiver (the source attempt repeats
-// until recovery).
-func (e *Engine) expire(c graph.NodeID, seq int, a *attempt) {
+// until recovery). Only the walk's current timer acts.
+func (e *Engine) expire(c graph.NodeID, seq int) {
 	k := key{c, seq}
-	if e.pending[k] != a || a.parked {
+	a := e.pending[k]
+	if a == nil || a.parked || !a.timer.Fired() {
 		return
 	}
 	if !e.s.Missing(c, seq) {
@@ -245,12 +276,8 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 		}
 		if !e.opt.NoHoldFreshRequests && e.s.IsClient(host) {
 			if eta := e.s.ExpectedArrival(host, pkt.Seq); eta > e.s.Eng.Now() {
-				seq, p2 := pkt.Seq, pay
-				e.s.Eng.Schedule(eta+2e-3, func() {
-					if e.s.Has(host, seq) {
-						e.repair(host, seq, p2)
-					}
-				})
+				slot := e.held.Put(heldRequest{host: host, seq: pkt.Seq, pay: pay})
+				e.s.Eng.ScheduleCall(eta+2e-3, e, opHeld, int(slot), 0)
 				return
 			}
 		}
@@ -340,4 +367,5 @@ var (
 	_ protocol.Engine       = (*Engine)(nil)
 	_ protocol.FaultAware   = (*Engine)(nil)
 	_ protocol.DedupAudited = (*Engine)(nil)
+	_ sim.Callee            = (*Engine)(nil)
 )

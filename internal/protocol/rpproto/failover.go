@@ -177,16 +177,17 @@ func (e *Engine) foSend(c graph.NodeID, seq int, a *attempt) {
 		Payload: foRequest{Requester: c, Epoch: e.epochOf[c], RP: e.rpView[c]},
 	})
 	a.target = target
-	a.timer = e.s.Eng.NewTimer(e.attemptTimeout(t0, a.retry), func() { e.foTimeout(c, seq, a) })
+	a.timer = e.s.Eng.NewTimerCall(e.attemptTimeout(t0, a.retry), e, opFoTimeout, int(c), seq)
 }
 
 // foTimeout retries the recovery; consecutive timeouts against the current
 // RP feed the suspicion counter. Requests re-resolve their target on every
 // retry, so a client that entered the interregnum mid-recovery re-routes to
-// the source automatically.
-func (e *Engine) foTimeout(c graph.NodeID, seq int, a *attempt) {
+// the source automatically. Only the attempt's current timer acts.
+func (e *Engine) foTimeout(c graph.NodeID, seq int) {
 	k := key{c, seq}
-	if e.pending[k] != a || a.parked {
+	a := e.pending[k]
+	if a == nil || a.parked || !a.timer.Fired() {
 		return
 	}
 	if !e.s.Missing(c, seq) {
@@ -244,16 +245,17 @@ func (e *Engine) foElect(c, suspect graph.NodeID) {
 	}
 	pw := &promoteState{goal: proposed, target: w}
 	d := 2 * e.timeoutPolicy().Timeout(e.s.Routes.RTT(c, w))
-	pw.timer = e.s.Eng.NewTimer(d, func() { e.promoteTimeout(c, pw) })
+	pw.timer = e.s.Eng.NewTimerCall(d, e, opPromote, int(c), 0)
 	e.promoteWatch[c] = pw
 }
 
 // promoteTimeout is the crash-during-handover path: the elected winner
 // never took the role (it crashed before, or while, absorbing it), so it is
 // declared dead as well and the election falls through to the next
-// candidate.
-func (e *Engine) promoteTimeout(c graph.NodeID, pw *promoteState) {
-	if e.promoteWatch[c] != pw {
+// candidate. Only the current watchdog's timer acts.
+func (e *Engine) promoteTimeout(c graph.NodeID) {
+	pw := e.promoteWatch[c]
+	if pw == nil || !pw.timer.Fired() {
 		return
 	}
 	delete(e.promoteWatch, c)
@@ -356,7 +358,7 @@ func (e *Engine) foOnRequest(host graph.NodeID, seq int, pay foRequest) {
 	}
 	if !e.opt.NoHoldFreshRequests {
 		if eta := e.s.ExpectedArrival(host, seq); eta > e.s.Eng.Now() {
-			e.s.Eng.Schedule(eta+2e-3, func() { e.foOnRequestHeld(host, seq, pay.Requester) })
+			e.hold(opFoHeld, eta, host, seq, pay.Requester)
 			return
 		}
 	}

@@ -113,6 +113,28 @@ type Engine struct {
 	foDead       map[graph.NodeID]bool
 	rpTimeouts   map[graph.NodeID]int
 	promoteWatch map[graph.NodeID]*promoteState
+
+	// held parks requests waiting for the packet's own arrival.
+	held sim.Arena[heldRequest]
+}
+
+// Event opcodes (sim.Callee).
+const (
+	// opTimeout and opFoTimeout are the attempt timers of the peer walk
+	// and of the coordinated mode, with (client, seq).
+	opTimeout = iota
+	opFoTimeout
+	// opPromote is a promotion watchdog, with (client, 0).
+	opPromote
+	// opHeld and opFoHeld re-decide the held request parked in slot a.
+	opHeld
+	opFoHeld
+)
+
+// heldRequest is a request held at host until seq should have arrived.
+type heldRequest struct {
+	host, requester graph.NodeID
+	seq             int
 }
 
 // dedupCacheSize bounds the served-request dedup cache (see
@@ -293,7 +315,33 @@ func (e *Engine) send(c graph.NodeID, seq int, a *attempt) {
 		Kind: sim.Request, Seq: seq, From: c, Payload: request{Requester: c},
 	})
 	a.target = target
-	a.timer = e.s.Eng.NewTimer(e.attemptTimeout(t0, a.retry), func() { e.timeout(c, seq, a) })
+	a.timer = e.s.Eng.NewTimerCall(e.attemptTimeout(t0, a.retry), e, opTimeout, int(c), seq)
+}
+
+// OnSimEvent implements sim.Callee: attempt timers, promotion watchdogs and
+// held requests.
+func (e *Engine) OnSimEvent(op, a, b int) {
+	switch op {
+	case opTimeout:
+		e.timeout(graph.NodeID(a), b)
+	case opFoTimeout:
+		e.foTimeout(graph.NodeID(a), b)
+	case opPromote:
+		e.promoteTimeout(graph.NodeID(a))
+	case opHeld:
+		h := e.held.Take(int32(a))
+		e.onRequestHeld(h.host, h.seq, h.requester)
+	case opFoHeld:
+		h := e.held.Take(int32(a))
+		e.foOnRequestHeld(h.host, h.seq, h.requester)
+	}
+}
+
+// hold parks a request at host until seq's expected arrival eta, then
+// re-decides it with op.
+func (e *Engine) hold(op int, eta float64, host graph.NodeID, seq int, requester graph.NodeID) {
+	slot := e.held.Put(heldRequest{host: host, requester: requester, seq: seq})
+	e.s.Eng.ScheduleCall(eta+2e-3, e, op, int(slot), 0)
 }
 
 // timeoutPolicy mirrors the planner's default for clients that lost their
@@ -307,10 +355,12 @@ func (e *Engine) timeoutPolicy() core.TimeoutPolicy {
 
 // timeout retries the current peer while its budget lasts, then advances to
 // the next attempt (the source attempt repeats forever, so recovery is
-// guaranteed to terminate while the client is up).
-func (e *Engine) timeout(c graph.NodeID, seq int, a *attempt) {
+// guaranteed to terminate while the client is up). Only the attempt's
+// current timer acts.
+func (e *Engine) timeout(c graph.NodeID, seq int) {
 	k := key{c, seq}
-	if e.pending[k] != a || a.parked {
+	a := e.pending[k]
+	if a == nil || a.parked || !a.timer.Fired() {
 		return // superseded, or owner crashed
 	}
 	if !e.s.Missing(c, seq) {
@@ -424,9 +474,7 @@ func (e *Engine) onRequest(host graph.NodeID, seq int, requester graph.NodeID) {
 			// The packet may still be in transit to us: hold the request
 			// until our own expected arrival and re-decide.
 			if eta := e.s.ExpectedArrival(host, seq); eta > e.s.Eng.Now() {
-				e.s.Eng.Schedule(eta+2e-3, func() {
-					e.onRequestHeld(host, seq, requester)
-				})
+				e.hold(opHeld, eta, host, seq, requester)
 				return
 			}
 		}
@@ -492,4 +540,5 @@ var (
 	_ protocol.FaultAware   = (*Engine)(nil)
 	_ protocol.DedupAudited = (*Engine)(nil)
 	_ protocol.Coordinator  = (*Engine)(nil)
+	_ sim.Callee            = (*Engine)(nil)
 )

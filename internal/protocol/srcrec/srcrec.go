@@ -100,18 +100,21 @@ func (e *Engine) ask(c graph.NodeID, seq int) {
 	e.s.Net.Unicast(e.s.Topo.Source, sim.Packet{
 		Kind: sim.Request, Seq: seq, From: c, Payload: request{Requester: c},
 	})
-	k := key{c, seq}
-	e.pending[k] = e.s.Eng.NewTimer(
-		e.opt.RetryFactor*e.s.Routes.RTT(c, e.s.Topo.Source),
-		func() {
-			if !e.pending[k].Valid() {
-				return
-			}
-			delete(e.pending, k)
-			if e.s.Missing(c, seq) {
-				e.ask(c, seq)
-			}
-		})
+	e.pending[key{c, seq}] = e.s.Eng.NewTimerCall(
+		e.opt.RetryFactor*e.s.Routes.RTT(c, e.s.Topo.Source), e, 0, int(c), seq)
+}
+
+// OnSimEvent implements sim.Callee: the retry timer of (client a, seq b)
+// re-asks while the packet is still missing. Only the pending timer acts.
+func (e *Engine) OnSimEvent(_, a, b int) {
+	k := key{graph.NodeID(a), b}
+	if !e.pending[k].Fired() {
+		return
+	}
+	delete(e.pending, k)
+	if e.s.Missing(k.c, k.seq) {
+		e.ask(k.c, k.seq)
+	}
 }
 
 // OnPacket implements protocol.Engine.

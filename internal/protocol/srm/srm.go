@@ -74,8 +74,8 @@ type Engine struct {
 
 	// packets sizes the dense (host,seq) index, fixed at Attach.
 	packets int
-	req     []*reqState // per missing (client,seq); nil = none
-	nreq    int         // live req entries, for PendingRequests
+	req     []reqState  // per (client,seq); active = a missing packet in recovery
+	nreq    int         // active req entries, for PendingRequests
 	rep     []sim.Timer // per (holder,seq) armed repair timer; zero = none
 	// lastRepair records when a host last saw (or sent) a repair for a
 	// seq, for the ignore window. NaN = never.
@@ -105,12 +105,20 @@ const dedupCacheSize = 8192
 
 type reqState struct {
 	timer   sim.Timer
-	backoff int
+	backoff int32
+	// active marks a packet the client is recovering.
+	active bool
 	// parked marks a request whose owner is crashed: no timer runs until
 	// OnRecover resumes it (a permanently crashed owner would otherwise
 	// re-arm its NACK timer forever and the run could never quiesce).
 	parked bool
 }
+
+// Timer opcodes (sim.Callee): both carry (host, seq).
+const (
+	opRequest = iota
+	opRepair
+)
 
 // nack is the payload of an SRM request multicast.
 type nack struct {
@@ -148,7 +156,7 @@ func (e *Engine) Attach(s *protocol.Session) {
 	// Size the dense per-(host,seq) state now that both bounds are known.
 	e.packets = s.Config().Packets
 	cells := s.Topo.NumNodes() * e.packets
-	e.req = make([]*reqState, cells)
+	e.req = make([]reqState, cells)
 	e.rep = make([]sim.Timer, cells)
 	e.reqSeen = make([]int32, cells)
 	e.repSeen = make([]int32, cells)
@@ -169,14 +177,14 @@ func (e *Engine) idx(h graph.NodeID, seq int) int { return int(h)*e.packets + se
 // Monotonic guard: a packet the client already holds never (re-)enters the
 // request machine, whatever duplicated or reordered signal suggested it.
 func (e *Engine) OnDetect(c graph.NodeID, seq int) {
-	if e.req[e.idx(c, seq)] != nil {
+	rs := &e.req[e.idx(c, seq)]
+	if rs.active {
 		return
 	}
 	if !e.s.Missing(c, seq) {
 		return
 	}
-	rs := &reqState{}
-	e.req[e.idx(c, seq)] = rs
+	*rs = reqState{active: true}
 	e.nreq++
 	e.armRequest(c, seq, rs)
 }
@@ -230,25 +238,36 @@ func (e *Engine) armRequest(c graph.NodeID, seq int, rs *reqState) {
 	}
 	scale := float64(int64(1)<<uint(rs.backoff)) * e.scaleOf(e.reqScale, c)
 	delay := (e.opt.C1 + e.opt.C2*e.s.Rand.Float64()) * d * scale
-	rs.timer = e.s.Eng.NewTimer(delay, func() { e.fireRequest(c, seq, rs) })
+	rs.timer = e.s.Eng.NewTimerCall(delay, e, opRequest, int(c), seq)
+}
+
+// OnSimEvent implements sim.Callee: the request and repair timers.
+func (e *Engine) OnSimEvent(op, a, b int) {
+	switch op {
+	case opRequest:
+		e.fireRequest(graph.NodeID(a), b)
+	case opRepair:
+		e.fireRepair(graph.NodeID(a), b)
+	}
 }
 
 // fireRequest multicasts the NACK and re-arms with backoff, so a lost
-// repair (or lost NACK) eventually triggers another round.
-func (e *Engine) fireRequest(c graph.NodeID, seq int, rs *reqState) {
-	i := e.idx(c, seq)
-	if e.req[i] != rs || rs.parked {
+// repair (or lost NACK) eventually triggers another round. Only the
+// request's current timer acts: Fired is true for the timer that is firing.
+func (e *Engine) fireRequest(c graph.NodeID, seq int) {
+	rs := &e.req[e.idx(c, seq)]
+	if !rs.active || rs.parked || !rs.timer.Fired() {
 		return
 	}
 	if !e.s.Missing(c, seq) {
-		e.req[i] = nil
+		rs.active = false
 		e.nreq--
 		return
 	}
 	e.s.Net.FloodTree(sim.Packet{
 		Kind: sim.Request, Seq: seq, From: c, Payload: nack{Requester: c},
 	})
-	if rs.backoff < e.opt.MaxBackoff {
+	if int(rs.backoff) < e.opt.MaxBackoff {
 		rs.backoff++
 	}
 	e.armRequest(c, seq, rs)
@@ -279,9 +298,9 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 		}
 		// If we were a requester, the session has marked us recovered;
 		// drop the request state and adapt on observed NACK duplication.
-		if rs := e.req[i]; rs != nil && !e.s.Missing(host, pkt.Seq) {
+		if rs := &e.req[i]; rs.active && !e.s.Missing(host, pkt.Seq) {
 			rs.timer.Stop()
-			e.req[i] = nil
+			rs.active = false
 			e.nreq--
 			e.adapt(e.reqScale, host, int(e.reqSeen[i])-1)
 		}
@@ -324,13 +343,13 @@ func (e *Engine) onNACK(host graph.NodeID, seq int, requester graph.NodeID) {
 			}
 		}
 		delay := (e.opt.D1 + e.opt.D2*e.s.Rand.Float64()) * d * e.scaleOf(e.repScale, host)
-		e.rep[i] = e.s.Eng.NewTimer(delay, func() { e.fireRepair(host, seq) })
+		e.rep[i] = e.s.Eng.NewTimerCall(delay, e, opRepair, int(host), seq)
 		return
 	}
 	// Request suppression: we miss it too and someone already asked —
 	// back off our own request and wait for the shared repair.
-	if rs := e.req[i]; rs != nil && rs.timer.Stop() {
-		if rs.backoff < e.opt.MaxBackoff {
+	if rs := &e.req[i]; rs.active && rs.timer.Stop() {
+		if int(rs.backoff) < e.opt.MaxBackoff {
 			rs.backoff++
 		}
 		e.armRequest(host, seq, rs)
@@ -340,7 +359,7 @@ func (e *Engine) onNACK(host graph.NodeID, seq int, requester graph.NodeID) {
 // fireRepair multicasts the repair to the whole group.
 func (e *Engine) fireRepair(host graph.NodeID, seq int) {
 	i := e.idx(host, seq)
-	if !e.rep[i].Valid() {
+	if !e.rep[i].Fired() {
 		return
 	}
 	e.rep[i] = sim.Timer{}
@@ -371,7 +390,7 @@ func (e *Engine) PendingRequests() int { return e.nreq }
 func (e *Engine) OnCrash(h graph.NodeID) {
 	for seq := 0; seq < e.packets; seq++ {
 		i := e.idx(h, seq)
-		if rs := e.req[i]; rs != nil {
+		if rs := &e.req[i]; rs.active {
 			rs.timer.Stop()
 			rs.parked = true
 		}
@@ -389,13 +408,13 @@ func (e *Engine) OnCrash(h graph.NodeID) {
 func (e *Engine) OnRecover(h graph.NodeID) {
 	for seq := 0; seq < e.packets; seq++ {
 		i := e.idx(h, seq)
-		rs := e.req[i]
-		if rs == nil || !rs.parked {
+		rs := &e.req[i]
+		if !rs.active || !rs.parked {
 			continue
 		}
 		rs.parked = false
 		if !e.s.Missing(h, seq) {
-			e.req[i] = nil
+			rs.active = false
 			e.nreq--
 			continue
 		}
@@ -413,4 +432,5 @@ var (
 	_ protocol.Engine       = (*Engine)(nil)
 	_ protocol.FaultAware   = (*Engine)(nil)
 	_ protocol.DedupAudited = (*Engine)(nil)
+	_ sim.Callee            = (*Engine)(nil)
 )

@@ -57,20 +57,44 @@ func TestAllocsScheduleCall(t *testing.T) {
 }
 
 // TestAllocsTimerCycle locks a full arm→fire timer cycle at zero
-// allocations beyond the caller's own callback closure (here non-capturing,
-// hence free): the timer's state lives in a recycled engine slot.
+// allocations: the callee and its arguments live in a recycled engine slot.
+// The second half is SRM's suppression pattern — stop a timer and arm its
+// replacement — run long enough that the stopped timers are purged from the
+// calendar over and over; purging allocates nothing either.
 func TestAllocsTimerCycle(t *testing.T) {
 	e := NewEngine()
-	fn := func() {}
+	c := &countingCallee{}
 	for i := 0; i < 64; i++ {
-		e.NewTimer(1, fn)
+		e.NewTimerCall(1, c, 1, i, i)
 	}
 	e.Run(0)
 	if avg := testing.AllocsPerRun(1000, func() {
-		e.NewTimer(1, fn)
+		e.NewTimerCall(1, c, 1, 2, 3)
 		e.Step()
 	}); avg != 0 {
-		t.Fatalf("NewTimer+fire allocates %v per cycle, want 0", avg)
+		t.Fatalf("NewTimerCall+fire allocates %v per cycle, want 0", avg)
+	}
+	if c.fired == 0 {
+		t.Fatal("callee never fired")
+	}
+
+	tm := e.NewTimerCall(10, c, 1, 0, 0)
+	rearm := func() {
+		tm.Stop()
+		tm = e.NewTimerCall(10, c, 1, 0, 0)
+	}
+	for i := 0; i < 4*purgeFloor; i++ {
+		rearm() // warm: the calendar and timer arena reach their peak
+	}
+	before := e.Processed()
+	if avg := testing.AllocsPerRun(4*purgeFloor, rearm); avg != 0 {
+		t.Fatalf("Stop+NewTimerCall allocates %v per cycle, want 0", avg)
+	}
+	if e.Processed() == before {
+		t.Fatal("no stopped timer was purged — the measurement exercised nothing")
+	}
+	if e.Pending() > 2*purgeFloor+2 {
+		t.Fatalf("calendar holds %d events, want stopped timers purged", e.Pending())
 	}
 }
 

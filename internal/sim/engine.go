@@ -19,15 +19,25 @@
 // hand-rolled 4-ary min-heap over typed event structs (no container/heap
 // interface boxing), hop-by-hop forwarding uses pooled walker events
 // instead of per-hop closures, and cancellable timers live in recycled
-// engine-owned slots. The (at, seq) total order — and with it the firing
-// order of every fixed-seed run — is identical to the original binary-heap
-// implementation, because the comparator induces a strict total order that
-// no heap arity can perturb.
+// engine-owned slots that carry a Callee and its arguments, not a closure.
+// The (at, seq) total order — and with it the firing order of every
+// fixed-seed run — is identical to the original binary-heap implementation,
+// because the comparator induces a strict total order that no heap arity
+// can perturb.
 //
 // The calendar entries themselves are pointer-free: closure, callee, and
 // walker payloads park in recycled side arenas and events carry int32 slot
 // references. Sifting events through the heap is then a plain memmove — no
 // write barriers — and the garbage collector never scans the calendar.
+//
+// Stopped timers leave the calendar early: once they make up more than half
+// of it (and exceed a fixed floor), Timer.Stop filters them all out in one
+// pass and re-heapifies. The firing order is unchanged, and so are the two
+// run totals every result reports, which count a stopped timer as if it
+// had stayed queued and popped as a no-op: each purged timer counts as
+// processed when it is purged, and EndTime reports the later of the clock
+// and the latest purged instant. The clock itself never jumps to a purged
+// instant, so a shard still accepts remote deliveries stamped below it.
 package sim
 
 import (
@@ -40,8 +50,8 @@ type Engine struct {
 	now float64
 	seq uint64
 	pq  []event
-	// processed counts executed events, for loop detection in tests and
-	// run-away guards in the harness. Run derives its per-call count from
+	// processed counts executed events (and purged timers), for loop
+	// detection in tests and run-away guards in the harness. Run derives its per-call count from
 	// this same counter, so the two can never drift.
 	processed uint64
 
@@ -50,27 +60,34 @@ type Engine struct {
 	freeW *walker
 
 	// timers is the pooled timer arena; timerFree lists recyclable slots.
-	// A slot is released when its calendar event pops (fired or stopped),
-	// and generation counters keep stale Timer handles inert.
+	// A slot is released when its calendar event pops or is purged, and
+	// generation counters keep stale Timer handles inert.
 	timers    []timerSlot
 	timerFree []int32
+	// stopped counts stopped timers whose events are still in the
+	// calendar; purgedAt is the latest instant of a purged one.
+	stopped  int
+	purgedAt float64
 
 	// Payload arenas: the pointer-bearing halves of scheduled events, so
 	// the calendar array itself stays pointer-free. A slot lives exactly
 	// from push to pop.
-	fns   arena[func()]
-	calls arena[Callee]
-	walks arena[*walker]
+	fns   Arena[func()]
+	calls Arena[Callee]
+	walks Arena[*walker]
 }
 
-// arena is a recycled slot store: put parks a value and returns its slot,
-// take retrieves it and frees the slot. Steady state allocates nothing.
-type arena[T any] struct {
+// Arena is a recycled slot store: Put parks a value and returns its slot,
+// Take retrieves it and frees the slot. Steady state allocates nothing.
+// Engines use it to park event arguments that do not fit in a Callee's two
+// integers, passing the slot instead.
+type Arena[T any] struct {
 	slots []T
 	free  []int32
 }
 
-func (a *arena[T]) put(v T) int32 {
+// Put parks v and returns its slot.
+func (a *Arena[T]) Put(v T) int32 {
 	if n := len(a.free); n > 0 {
 		i := a.free[n-1]
 		a.free = a.free[:n-1]
@@ -81,7 +98,8 @@ func (a *arena[T]) put(v T) int32 {
 	return int32(len(a.slots) - 1)
 }
 
-func (a *arena[T]) take(i int32) T {
+// Take returns the value parked in slot i and frees the slot.
+func (a *Arena[T]) Take(i int32) T {
 	v := a.slots[i]
 	var zero T
 	a.slots[i] = zero
@@ -98,8 +116,8 @@ const (
 	// evCall invokes a Callee with (op, a, b) — a closure-free callback
 	// for hot paths that would otherwise allocate one closure per packet.
 	evCall
-	// evTimer fires the pooled timer in slot a if generation b still
-	// matches (see Timer).
+	// evTimer fires the pooled timer in slot a unless it was stopped
+	// (see Timer).
 	evTimer
 	// evWalker advances a pooled hop walker (see walker.go).
 	evWalker
@@ -113,7 +131,7 @@ const (
 type event struct {
 	at   float64
 	seq  uint64
-	a, b int32 // evCall arguments; evTimer slot and generation
+	a, b int32 // evCall arguments; evTimer slot in a
 	ref  int32 // arena slot for evFunc / evCall / evWalker payloads
 	kind evKind
 	op   uint8 // evCall opcode
@@ -143,8 +161,14 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulation time (ms).
 func (e *Engine) Now() float64 { return e.now }
 
-// Processed returns the number of events executed so far.
+// Processed returns the number of events executed so far. A stopped timer
+// purged from the calendar counts here when it is purged.
 func (e *Engine) Processed() uint64 { return e.processed }
+
+// EndTime returns the instant the run has reached: the clock, or the latest
+// purged timer's instant if that is later. It equals the clock a run would
+// show had every stopped timer stayed queued and popped as a no-op.
+func (e *Engine) EndTime() float64 { return max(e.now, e.purgedAt) }
 
 // Pending returns the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int { return len(e.pq) }
@@ -224,10 +248,37 @@ func (e *Engine) popMin() event {
 	return top
 }
 
+// siftDown restores the heap below slot i: the hole moves toward the
+// leaves, pulling up the smallest of up to four children, until the
+// displaced event fits.
+func (e *Engine) siftDown(i int) {
+	n := len(e.pq)
+	ev := e.pq[i]
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := min(c+4, n)
+		for k := c + 1; k < end; k++ {
+			if evLess(&e.pq[k], &e.pq[m]) {
+				m = k
+			}
+		}
+		if !evLess(&e.pq[m], &ev) {
+			break
+		}
+		e.pq[i] = e.pq[m]
+		i = m
+	}
+	e.pq[i] = ev
+}
+
 // Schedule runs fn at absolute time at. Scheduling in the past or at a
 // non-finite time panics: it is always a protocol bug.
 func (e *Engine) Schedule(at float64, fn func()) {
-	e.push(at, event{kind: evFunc, ref: e.fns.put(fn)})
+	e.push(at, event{kind: evFunc, ref: e.fns.Put(fn)})
 }
 
 // After runs fn d milliseconds from now.
@@ -238,7 +289,7 @@ func (e *Engine) After(d float64, fn func()) { e.Schedule(e.now+d, fn) }
 // fit in a uint8 and a, b in int32 — ample for the client-index and
 // sequence-number callbacks the protocol layer schedules per packet.
 func (e *Engine) ScheduleCall(at float64, c Callee, op, a, b int) {
-	e.push(at, event{kind: evCall, ref: e.calls.put(c),
+	e.push(at, event{kind: evCall, ref: e.calls.Put(c),
 		op: uint8(op), a: int32(a), b: int32(b)})
 }
 
@@ -252,13 +303,13 @@ func (e *Engine) Step() bool {
 	e.processed++
 	switch ev.kind {
 	case evFunc:
-		e.fns.take(ev.ref)()
+		e.fns.Take(ev.ref)()
 	case evCall:
-		e.calls.take(ev.ref).OnSimEvent(int(ev.op), int(ev.a), int(ev.b))
+		e.calls.Take(ev.ref).OnSimEvent(int(ev.op), int(ev.a), int(ev.b))
 	case evTimer:
-		e.fireTimer(ev.a, uint32(ev.b))
+		e.fireTimer(ev.a)
 	case evWalker:
-		e.walks.take(ev.ref).run()
+		e.walks.Take(ev.ref).run()
 	}
 	return true
 }
@@ -310,20 +361,27 @@ func (e *Engine) NextEventAt() (at float64, ok bool) {
 }
 
 // Timer slot states. A slot is freed (pushed on timerFree) when its
-// calendar event pops; until the slot is re-armed, stale handles still read
-// their fired/stopped outcome; after re-arming, the bumped generation makes
-// them fully inert.
+// calendar event pops or is purged; until the slot is re-armed, stale
+// handles still read their fired/stopped outcome; after re-arming, the
+// bumped generation makes them fully inert.
 const (
 	slotArmed uint8 = iota + 1
 	slotStopped
 	slotFired
 )
 
-// timerSlot is the engine-owned, recycled representation of one timer.
+// purgeFloor is the number of stopped timers a purge must exceed: below
+// it the dead events cost less than a pass over the calendar.
+const purgeFloor = 1024
+
+// timerSlot is the engine-owned, recycled representation of one timer: the
+// Callee and its (op, a, b) arguments, as for ScheduleCall.
 type timerSlot struct {
 	gen   uint32
 	state uint8
-	fn    func()
+	op    uint8
+	a, b  int32
+	c     Callee
 }
 
 // Timer is a cancellable scheduled callback: a generation-stamped handle
@@ -335,10 +393,10 @@ type Timer struct {
 	gen uint32
 }
 
-// NewTimer schedules fn after d ms and returns a handle that can Stop it.
-// The timer's state lives in a recycled engine slot, so arming a timer
-// allocates nothing beyond the caller's own callback closure.
-func (e *Engine) NewTimer(d float64, fn func()) Timer {
+// NewTimerCall schedules c.OnSimEvent(op, a, b) after d ms and returns a
+// handle that can Stop it. The callback rides in a recycled engine slot
+// like ScheduleCall's, so arming a timer allocates nothing.
+func (e *Engine) NewTimerCall(d float64, c Callee, op, a, b int) Timer {
 	var idx int32
 	if n := len(e.timerFree); n > 0 {
 		idx = e.timerFree[n-1]
@@ -350,29 +408,48 @@ func (e *Engine) NewTimer(d float64, fn func()) Timer {
 	sl := &e.timers[idx]
 	sl.gen++
 	sl.state = slotArmed
-	sl.fn = fn
-	e.push(e.now+d, event{kind: evTimer, a: idx, b: int32(sl.gen)})
+	sl.c, sl.op, sl.a, sl.b = c, uint8(op), int32(a), int32(b)
+	e.push(e.now+d, event{kind: evTimer, a: idx})
 	return Timer{e: e, idx: idx, gen: sl.gen}
 }
 
 // fireTimer pops one timer event: run the callback if the slot is still
-// armed under the event's generation, then recycle the slot. A mismatched
-// generation means the slot was stopped and already re-armed for a newer
-// timer — the stale event is a no-op.
-func (e *Engine) fireTimer(idx int32, gen uint32) {
+// armed, then recycle the slot. A slot is only re-armed after its event
+// has left the calendar, so the event always belongs to the slot's
+// current generation.
+func (e *Engine) fireTimer(idx int32) {
 	sl := &e.timers[idx]
-	if sl.gen != gen {
+	e.timerFree = append(e.timerFree, idx)
+	if sl.state != slotArmed {
+		e.stopped--
 		return
 	}
-	fn := sl.fn
-	fired := sl.state == slotArmed
-	if fired {
-		sl.state = slotFired
+	sl.state = slotFired
+	c := sl.c
+	sl.c = nil
+	c.OnSimEvent(int(sl.op), int(sl.a), int(sl.b))
+}
+
+// purge removes every stopped timer's event from the calendar in one pass,
+// frees their slots, and rebuilds the heap bottom-up (Floyd). (at, seq) is
+// a strict total order, so the surviving events pop in the same order as
+// before. Each purged event counts as processed, and purgedAt keeps the
+// latest purged instant for EndTime.
+func (e *Engine) purge() {
+	kept := e.pq[:0]
+	for _, ev := range e.pq {
+		if ev.kind == evTimer && e.timers[ev.a].state == slotStopped {
+			e.processed++
+			e.purgedAt = max(e.purgedAt, ev.at)
+			e.timerFree = append(e.timerFree, ev.a)
+			continue
+		}
+		kept = append(kept, ev)
 	}
-	sl.fn = nil
-	e.timerFree = append(e.timerFree, idx)
-	if fired {
-		fn()
+	e.pq = kept
+	e.stopped = 0
+	for i := (len(kept) - 2) >> 2; i >= 0; i-- {
+		e.siftDown(i)
 	}
 }
 
@@ -383,23 +460,31 @@ func (t Timer) Valid() bool { return t.e != nil }
 
 // Stop cancels the timer if it has not fired; it reports whether the call
 // prevented the callback. Stopping a stale handle (one whose slot has been
-// recycled for a newer timer) is a safe no-op.
+// recycled for a newer timer) is a safe no-op. Once stopped timers make up
+// more than half of the calendar and exceed purgeFloor, Stop purges them.
 func (t Timer) Stop() bool {
 	if t.e == nil || int(t.idx) >= len(t.e.timers) {
 		return false
 	}
-	sl := &t.e.timers[t.idx]
+	e := t.e
+	sl := &e.timers[t.idx]
 	if sl.gen != t.gen || sl.state != slotArmed {
 		return false
 	}
 	sl.state = slotStopped
-	sl.fn = nil
+	sl.c = nil
+	e.stopped++
+	if e.stopped > purgeFloor && 2*e.stopped > len(e.pq) {
+		e.purge()
+	}
 	return true
 }
 
-// Fired reports whether the callback ran. Once the slot is recycled for a
-// newer timer the handle reads false; engines only consult Fired between
-// arming and the next re-arm, where the answer is exact.
+// Fired reports whether the callback ran — inside the callback too, which
+// is how a callee tells the timer that is firing from a stale one. Once the
+// slot is recycled for a newer timer the handle reads false; engines only
+// consult Fired between arming and the next re-arm, where the answer is
+// exact.
 func (t Timer) Fired() bool {
 	if t.e == nil || int(t.idx) >= len(t.e.timers) {
 		return false

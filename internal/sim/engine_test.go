@@ -110,10 +110,15 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// callFunc adapts a plain function to Callee for tests.
+type callFunc func(op, a, b int)
+
+func (f callFunc) OnSimEvent(op, a, b int) { f(op, a, b) }
+
 func TestTimerStop(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	tm := e.NewTimer(5, func() { fired = true })
+	tm := e.NewTimerCall(5, callFunc(func(int, int, int) { fired = true }), 0, 0, 0)
 	if !tm.Stop() {
 		t.Fatal("Stop on pending timer should return true")
 	}
@@ -128,11 +133,19 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerFires(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	tm := e.NewTimer(5, func() { fired = true })
+	var tm Timer
+	var got [3]int
+	firedInside := false
+	tm = e.NewTimerCall(5, callFunc(func(op, a, b int) {
+		got = [3]int{op, a, b}
+		firedInside = tm.Fired()
+	}), 7, -3, 1<<20)
 	e.Run(0)
-	if !fired || !tm.Fired() {
-		t.Fatal("timer did not fire")
+	if got != [3]int{7, -3, 1 << 20} || !tm.Fired() {
+		t.Fatalf("timer did not fire with its arguments: %v", got)
+	}
+	if !firedInside {
+		t.Fatal("Fired is false inside the firing timer's own callback")
 	}
 	if tm.Stop() {
 		t.Fatal("Stop after firing should return false")

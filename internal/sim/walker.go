@@ -50,14 +50,23 @@ type walker struct {
 	next *walker // free-list link
 }
 
-// getWalker pops a recycled walker (or allocates the pool's next one).
+// walkerChunk is how many walkers one pool refill allocates at once.
+const walkerChunk = 64
+
+// getWalker pops a recycled walker. An empty pool grows by a whole chunk of
+// walkers in one allocation rather than one walker per miss.
 func (e *Engine) getWalker() *walker {
-	if w := e.freeW; w != nil {
-		e.freeW = w.next
-		w.next = nil
-		return w
+	if e.freeW == nil {
+		chunk := make([]walker, walkerChunk)
+		for i := range chunk {
+			chunk[i].next = e.freeW
+			e.freeW = &chunk[i]
+		}
 	}
-	return &walker{}
+	w := e.freeW
+	e.freeW = w.next
+	w.next = nil
+	return w
 }
 
 // putWalker returns a walker to the free list, dropping every reference it
@@ -69,7 +78,7 @@ func (e *Engine) putWalker(w *walker) {
 
 // scheduleWalker enqueues the walker's next event.
 func (e *Engine) scheduleWalker(at float64, w *walker) {
-	e.push(at, event{kind: evWalker, ref: e.walks.put(w)})
+	e.push(at, event{kind: evWalker, ref: e.walks.Put(w)})
 }
 
 // run dispatches one popped walker event. Ops that terminate here release
